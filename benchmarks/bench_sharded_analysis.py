@@ -11,34 +11,11 @@ work the log shards absorb) dominates the serial run — in three arms:
     the real multiprocess pipeline (coordinator + analysis shard +
     N-1 log shards) via :func:`repro.shard.coordinator.run_single_sharded`.
 
-``shards4a4``
-    ``shards=4 --analysis-shards=4``: the partitioned analysis plane —
-    four partition workers absorb certain-fast Octet records for their
-    object partitions and forward the rest to the exchange owner, which
-    folds the globally seq-ordered residue through the single cycle
-    engine.
-
-The same arms run on ``hubstress`` (the largest stress workload).
-Hubstress is ICD-bound — almost no PCD work to offload — so its row
-documents merge overhead and the lower bound of the speedup range;
-``pcdheavy`` carries the headline and the acceptance assert.
-
-Where the partitioned plane lands (measured, honest)
-----------------------------------------------------
-
-On hubstress, ``--analysis-shards 4`` absorbs ~70% of the access
-records at the partition workers (each <20% of the A=1 analyzer's
-CPU), but the exchange owner keeps the transaction demarcation,
-slow-path barriers, IDG edges, SCC checks, and GC — work that cannot
-leave the single cycle engine while unary transaction ids are minted
-globally (a unary access merges into the running unary transaction
-only if no cross-thread edge touched it, which is owner-side
-knowledge).  That irreducible share keeps the owner the critical path,
-so the arm lands at ~1.2x serial (up from ~1.17x at A=1) rather than
-the ~2x an embarrassingly parallel split would give.  Moving
-transaction demarcation off the owner is the follow-up recorded in
-ROADMAP.md.  On pcdheavy the slow path dominates and absorption buys
-nothing; the arm is recorded to show it does not regress.
+The same three arms run on ``hubstress`` (the largest stress
+workload).  Hubstress is ICD-bound — almost no PCD work to offload —
+so its row documents merge overhead and the lower bound of the
+speedup range; ``pcdheavy`` carries the headline and the acceptance
+assert.
 
 Methodology — critical-path CPU on a time-shared container
 ----------------------------------------------------------
@@ -206,7 +183,7 @@ def _serial_arm(spec, reps):
     return row
 
 
-def _sharded_arm(spec, shards, reps, analysis_shards=1):
+def _sharded_arm(spec, shards, reps):
     from repro.harness.runner import make_scheduler
     from repro.shard.coordinator import run_single_sharded
     from repro.workloads.builder import build_program
@@ -217,15 +194,10 @@ def _sharded_arm(spec, shards, reps, analysis_shards=1):
         checker = _checker(spec)
         stats = {}
         result, _ = run_single_sharded(
-            checker, program, make_scheduler(SEED), shards,
-            analysis_shards=analysis_shards, stats_out=stats
+            checker, program, make_scheduler(SEED), shards, stats_out=stats
         )
         cpu = stats["cpu_seconds"]
-        # with --analysis-shards the "analyzer" role is the exchange
-        # owner and cpu["analysis"] lists the partition workers; all of
-        # them sit on the critical path
-        crit = max(cpu["coordinator"], cpu["analyzer"], max(cpu["workers"]),
-                   max(cpu.get("analysis", [0.0])))
+        crit = max(cpu["coordinator"], cpu["analyzer"], max(cpu["workers"]))
         if best is None or crit < best[0]:
             best = (crit, stats, result)
     crit, stats, result = best
@@ -242,15 +214,13 @@ def _sharded_arm(spec, shards, reps, analysis_shards=1):
         "merge_seconds": round(stats["merge_seconds"], 3),
         "stream_bytes": stats["stream_bytes"],
         "stream_records": stats["stream_records"],
-        "breakdown": _stage_breakdown(spec, shards, analysis_shards),
+        "breakdown": _stage_breakdown(spec, shards),
     }
-    if "analysis" in cpu:
-        row["cpu_seconds"]["analysis"] = [round(a, 3) for a in cpu["analysis"]]
     row.update(_counters(result))
     return row
 
 
-def _stage_breakdown(spec, shards, analysis_shards=1):
+def _stage_breakdown(spec, shards):
     """Per-stage busy/stall seconds from one instrumented run.
 
     A separate run with ``--obs counters`` (timing histograms, no event
@@ -268,8 +238,7 @@ def _stage_breakdown(spec, shards, analysis_shards=1):
     try:
         program = build_program(spec)
         checker = _checker(spec)
-        run_single_sharded(checker, program, make_scheduler(SEED), shards,
-                           analysis_shards=analysis_shards)
+        run_single_sharded(checker, program, make_scheduler(SEED), shards)
     finally:
         use_registry(previous)
     histograms = registry.snapshot()["histograms"]
@@ -282,14 +251,11 @@ def _stage_breakdown(spec, shards, analysis_shards=1):
         "busy_seconds": {
             "analyzer_chunks": total("shard.analyzer.chunk.seconds"),
             "analyzer_merge": total("shard.analyzer.merge.seconds"),
-            "partition_chunks": total("shard.partition.chunk.seconds"),
             "logshard_chunks": total("shard.log.chunk.seconds"),
             "pcd_jobs": total("shard.pcd.job.seconds"),
         },
         "stall_seconds": {
             "analyzer_get": total("shard.stall.analyzer.get.seconds"),
-            "analysis_get": total("shard.stall.analysis.get.seconds"),
-            "exchange_get": total("shard.stall.exchange.get.seconds"),
             "logshard_get": total("shard.stall.logshard.get.seconds"),
             "coordinator_result": total(
                 "shard.stall.coordinator.result.seconds"
@@ -302,12 +268,10 @@ def _workload_rows(spec, reps):
     shards1 = _serial_arm(spec, reps)
     shards2 = _sharded_arm(spec, 2, reps)
     shards4 = _sharded_arm(spec, 4, reps)
-    shards4a4 = _sharded_arm(spec, 4, reps, analysis_shards=4)
     # the partition is a pure reorganisation: every deterministic
     # counter must match serial exactly, in every measurement mode
     # (committed baseline, CI smoke, regression gate)
-    for arm_name, arm in (("shards2", shards2), ("shards4", shards4),
-                          ("shards4a4", shards4a4)):
+    for arm_name, arm in (("shards2", shards2), ("shards4", shards4)):
         for key in (
             "steps", "idg_edges", "log_entries", "sccs",
             "pcd_entries_replayed", "violations",
@@ -321,12 +285,8 @@ def _workload_rows(spec, reps):
         "shards1": shards1,
         "shards2": shards2,
         "shards4": shards4,
-        "shards4a4": shards4a4,
         "speedup_4_vs_1": round(
             shards4["steps_per_second"] / shards1["steps_per_second"], 2
-        ),
-        "speedup_4a4_vs_1": round(
-            shards4a4["steps_per_second"] / shards1["steps_per_second"], 2
         ),
     }
 
@@ -389,14 +349,6 @@ def test_sharded_analysis(tmp_path):
     # slower than not sharding at all
     assert shards2["steps_per_second"] >= 0.85 * shards1["steps_per_second"]
 
-    # the partitioned analysis plane must not regress the pcdheavy arm
-    # it rides on (its PCD work all lives on the log shards; the
-    # partition split is a no-op there beyond queue overhead)
-    assert (
-        row["shards4a4"]["steps_per_second"]
-        >= 0.80 * shards4["steps_per_second"]
-    )
-
     # hubstress (ICD-bound, nothing to offload) must not collapse
     # under sharding either: counter identity is already asserted in
     # _measure, so just require the critical path stays in the same
@@ -405,25 +357,6 @@ def test_sharded_analysis(tmp_path):
     assert (
         hub["shards4"]["steps_per_second"]
         >= 0.70 * hub["shards1"]["steps_per_second"]
-    )
-
-    # the partitioned plane's contract on its target workload: the
-    # partition workers genuinely offload the fast path (each a small
-    # fraction of the A=1 analyzer's CPU — the structural claim, and
-    # robust to machine noise), and the arm's critical path stays in
-    # the same ballpark as the serial and shards4 arms.  The committed
-    # baseline records the measured ~1.25x vs serial; per-arm ratios
-    # swing +-15% run to run on a shared box, so the throughput floors
-    # here are deliberately loose noise gates, not the headline.
-    hub4a4 = hub["shards4a4"]
-    assert max(hub4a4["cpu_seconds"]["analysis"]) <= 0.5 * (
-        hub["shards4"]["cpu_seconds"]["analyzer"]
-    )
-    assert (
-        hub4a4["steps_per_second"] >= 0.90 * hub["shards1"]["steps_per_second"]
-    )
-    assert (
-        hub4a4["steps_per_second"] >= 0.85 * hub["shards4"]["steps_per_second"]
     )
 
 

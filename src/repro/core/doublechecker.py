@@ -133,24 +133,20 @@ class DoubleChecker:
         monitor_unary: bool = True,
         monitor_unary_site: Optional[Callable[[str], bool]] = None,
         shards: Optional[int] = None,
-        analysis_shards: Optional[int] = None,
     ) -> SingleRunResult:
         """Run ICD+PCD on one execution (fully sound and precise).
 
         ``shards`` (or the ``DOUBLECHECKER_SHARDS`` environment
         variable) > 1 partitions the analysis across that many worker
         processes — same results, byte for byte; see
-        :mod:`repro.shard`.  ``analysis_shards`` (or
-        ``DOUBLECHECKER_ANALYSIS_SHARDS``) > 1 additionally splits the
-        analysis shard into that many partition workers plus an
-        exchange owner.  Configurations the sharded pipeline cannot
+        :mod:`repro.shard`.  Configurations the sharded pipeline cannot
         reproduce exactly (callable filters, ICD memory budgets,
         object-granularity arrays) silently fall back to the serial
         path, counted by the ``shard.fallbacks`` observability counter
         (exactly once per run) with one ``shard.fallback.<feature>``
         detail counter per blocking feature.
         """
-        from repro.shard import resolve_analysis_shards, resolve_shards
+        from repro.shard import resolve_shards
 
         n = resolve_shards(shards)
         if n > 1:
@@ -165,9 +161,7 @@ class DoubleChecker:
             )
             if not missing:
                 result, _ = run_single_sharded(
-                    self, program, scheduler, n,
-                    analysis_shards=resolve_analysis_shards(analysis_shards),
-                    monitor_unary=monitor_unary,
+                    self, program, scheduler, n, monitor_unary=monitor_unary
                 )
                 return result
             obs = obs_recorder()

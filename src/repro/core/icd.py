@@ -27,7 +27,7 @@ ICD's imprecision is inherited from Octet and is intentional
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.gc import TransactionCollector
 from repro.core.rwlog import AccessEntry, ElisionFilter, ReadWriteLog
@@ -216,12 +216,6 @@ class ICD(ExecutionListener, OctetListener):
         self._addr_intern: Dict[Tuple[int, str], Tuple[int, str]] = {}
         self._site_intern: Dict[Site, str] = {}
         self._edge_order = 0
-        #: externally observed edge hook: called with each IdgEdge at
-        #: the very end of :meth:`_add_edge` (after eager detection),
-        #: so a tap sees edges in exactly the order any SCC jobs they
-        #: trigger were announced.  The sharded pipeline's channel
-        #: broadcast hangs here.
-        self.edge_tap: Optional[Callable[[IdgEdge], None]] = None
         #: the transaction of the access currently in the barrier
         self._req_tx: Optional[Transaction] = None
         self._req_event: Optional[AccessEvent] = None
@@ -657,26 +651,7 @@ class ICD(ExecutionListener, OctetListener):
             self.tx_manager.end_if_interrupted_unary(src)
         if self.eager_scc:
             self._detect_from(dst)
-        if self.edge_tap is not None:
-            self.edge_tap(edge)
         return edge
-
-    def ingest_edges(
-        self, edges: Iterable[Tuple[Optional[Transaction], Transaction, str]]
-    ) -> List[Optional[IdgEdge]]:
-        """Feed externally detected dependence edges through the exact
-        serial edge path, in stream order.
-
-        This is the ICD half of the partitioned analysis plane's
-        externally-fed edge API: a caller that discovered dependences
-        elsewhere (a partition worker's merged cross-partition stream,
-        a recorded trace) applies them here and gets the same marks,
-        elision bumps, GC links, scheduler notifications, and eager
-        detection the in-barrier path produces.  Returns the created
-        :class:`IdgEdge` per input (``None`` where the serial path
-        would elide the edge).
-        """
-        return [self._add_edge(src, dst, kind) for src, dst, kind in edges]
 
     # ------------------------------------------------------------------
     # logging

@@ -38,7 +38,7 @@ or would have put the untouched node into one of the search frontiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.obs.registry import publish_stats
 
@@ -230,24 +230,6 @@ class IncrementalSccDigraph:
         self._link(ru, rv)
         self.stats.reorders += 1
         return EDGE_REORDERED
-
-    def ingest_edges(self, pairs: Iterable[Tuple[object, object]]) -> Dict[str, int]:
-        """Bulk-ingest an ordered ``(src, dst)`` edge stream.
-
-        The ingest seam for externally merged dependence streams (the
-        partitioned analysis plane folds its globally seq-ordered
-        cross-partition edge exchange in here): edges are applied one
-        by one through :meth:`add_edge` — order matters, the
-        incremental topological order and SCC contraction are
-        path-dependent — and the outcome tally is returned for
-        callers that assert on the stream's shape.
-        """
-        out: Dict[str, int] = {}
-        add = self.add_edge
-        for src, dst in pairs:
-            outcome = add(src, dst)
-            out[outcome] = out.get(outcome, 0) + 1
-        return out
 
     # ------------------------------------------------------------------
     def _link(self, ru: object, rv: object) -> None:

@@ -17,10 +17,7 @@ results are byte-identical for any shard count, so sharding composes
 with ``--jobs`` (multiplicatively — each cell worker forks its own
 shard processes), with ``--checkpoint`` (a resumed run may use a
 different shard count and still renders the identical output), and
-with ``--fault-spec`` retries.  ``--analysis-shards A`` (or
-``DOUBLECHECKER_ANALYSIS_SHARDS``) additionally splits each sharded
-run's analysis shard into A partition workers plus an exchange owner —
-still byte-identical at any combination of counts.
+with ``--fault-spec`` retries.
 
 Fault tolerance (see ``docs/ROBUSTNESS.md``):
 
@@ -80,12 +77,7 @@ from repro.obs import (
     write_metrics_json,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.shard import (
-    ANALYSIS_SHARDS_ENV,
-    SHARDS_ENV,
-    resolve_analysis_shards,
-    resolve_shards,
-)
+from repro.shard import SHARDS_ENV, resolve_shards
 
 EXPERIMENTS = (
     "table2",
@@ -244,19 +236,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--analysis-shards",
-        type=int,
-        default=None,
-        help=(
-            "partition workers for the analysis plane of each sharded "
-            "single-run analysis (splits the Octet+ICD shard by object "
-            "partition; requires --shards > 1 to take effect; results "
-            "are byte-identical for any count; default: "
-            "$DOUBLECHECKER_ANALYSIS_SHARDS or 1 = single analysis "
-            "shard)"
-        ),
-    )
-    parser.add_argument(
         "--retries",
         type=int,
         default=None,
@@ -378,7 +357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         shards = resolve_shards(args.shards)
-        analysis_shards = resolve_analysis_shards(args.analysis_shards)
     except ValueError as exc:
         print(f"doublechecker-experiments: error: {exc}", file=sys.stderr)
         return 2
@@ -409,8 +387,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # propagate through the environment so CellPool workers (forked
         # per --jobs) shard their runs too
         os.environ[SHARDS_ENV] = str(shards)
-    if args.analysis_shards is not None:
-        os.environ[ANALYSIS_SHARDS_ENV] = str(analysis_shards)
 
     try:
         pool = CellPool(

@@ -341,80 +341,3 @@ class OctetRuntime:
     def snapshot_states(self) -> Dict[int, OctetState]:
         """Copy of the state table (testing aid)."""
         return dict(self._states)
-
-
-class PartitionOctetView:
-    """Partition-local mirror of Octet state for the sharded analysis
-    plane's partition workers.
-
-    A worker owning a per-object partition replays the classification
-    logic of :func:`~repro.octet.transitions.classify` over its own
-    objects to decide which accesses are *certainly* fast-path in the
-    serial run (and can therefore be absorbed locally, never reaching
-    the exchange owner).  The mirror never allocates serial ``rdShCnt``
-    counter values — those are assigned by the owner in global order —
-    so it uses stream **positions** (seqs) as counters instead:
-    upgrade-to-RdSh events are totally ordered by seq and serial
-    counter values are assigned in exactly that order, hence comparing
-    positions is equivalent to comparing serial counters.
-
-    ``known_ctr[tid]`` is a sound *lower bound* on the thread's serial
-    ``rdShCnt`` in position terms, advanced only by locally observed
-    fences and upgrades; an access is absorbed only when the bound
-    already proves the serial run takes the fast path, so staleness
-    costs a forward to the owner, never a wrong absorption.
-    """
-
-    __slots__ = ("_states", "known_ctr")
-
-    def __init__(self) -> None:
-        self._states: Dict[int, OctetState] = {}
-        #: tid -> position lower bound on the thread's serial rdShCnt
-        self.known_ctr: Dict[int, int] = {}
-
-    def is_certain_fast(self, oid: int, access: AccessKind, tid: int) -> bool:
-        """Would the serial barrier certainly take the fast path?"""
-        state = self._states.get(oid)
-        if state is None:
-            return False
-        kind = state.kind
-        if state.owner == tid and (
-            kind is StateKind.WR_EX
-            or (kind is StateKind.RD_EX and access is AccessKind.READ)
-        ):
-            return True
-        return (
-            kind is StateKind.RD_SH
-            and access is AccessKind.READ
-            and self.known_ctr.get(tid, 0) >= state.counter
-        )
-
-    def apply(self, oid: int, access: AccessKind, tid: int,
-              seq: int) -> Optional[int]:
-        """Mirror one instrumented access's transition at position
-        ``seq``.  Conflicting transitions commit their final state
-        directly (the mirror needs the state trajectory, not the
-        coordination protocol), so intermediates never exist here.
-
-        Returns the thread's new ``known_ctr`` bound when the access
-        raised it (a fence or an upgrade-to-RdSh), else ``None`` —
-        the partition workers broadcast these bumps to their peers as
-        counter-sync facts, because a fence on *this* partition's
-        object raises the thread's serial ``rdShCnt`` for every
-        partition's subsequent reads."""
-        state = self._states.get(oid)
-        classified = classify(
-            state, access, tid, self.known_ctr.get(tid, 0), seq
-        )
-        kind = classified.kind
-        if kind is TransitionKind.UPGRADING_RD_SH:
-            self._states[oid] = classified.new_state
-            self.known_ctr[tid] = seq
-            return seq
-        if kind is TransitionKind.FENCE:
-            ctr = classified.thread_counter_update
-            self.known_ctr[tid] = ctr
-            return ctr
-        if classified.new_state is not None:
-            self._states[oid] = classified.new_state
-        return None

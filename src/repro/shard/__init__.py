@@ -22,18 +22,6 @@ under ``--shards N``) splits the single-run ICD+PCD pipeline across
   filter exactly — then replays assigned PCD jobs with the real
   :class:`~repro.core.pcd.PCD` on reconstructed logs.
 
-``DOUBLECHECKER_ANALYSIS_SHARDS=A`` (or ``--analysis-shards A``)
-additionally splits the analysis shard itself into ``A`` partition
-workers plus one exchange owner: each worker owns a deterministic
-per-object partition (:func:`~repro.shard.wire.partition_of`) of Octet
-ownership metadata, absorbs provably fast-path accesses locally
-(shipping their log records straight to the owning log shard), and
-forwards everything dependence-relevant to the exchange owner, which
-k-way merges the ``A`` streams back into global seq order and runs the
-real ICD + cycle engine — so SCC verdicts, PCD jobs, and GC stay
-byte-identical to serial at any ``(shards, analysis-shards)`` pair.
-``A=1`` (the default) runs the single-analyzer pipeline unchanged.
-
 Results merge deterministically: PCD job results are folded in
 component-capture (ordinal) order with the serial run's global
 cycle-deduplication applied at the merge, and every counter that the
@@ -51,9 +39,6 @@ from typing import Optional
 
 #: environment escape hatch mirroring DOUBLECHECKER_BATCH_EXECUTOR
 SHARDS_ENV = "DOUBLECHECKER_SHARDS"
-
-#: partition count for the analysis plane (1 = single analyzer)
-ANALYSIS_SHARDS_ENV = "DOUBLECHECKER_ANALYSIS_SHARDS"
 
 #: hard cap — more shards than this is certainly a typo, and each
 #: shard is a full OS process
@@ -89,34 +74,4 @@ def resolve_shards(shards: Optional[int] = None) -> int:
     return shards
 
 
-def resolve_analysis_shards(analysis_shards: Optional[int] = None) -> int:
-    """Validate and resolve the analysis-plane partition count
-    (explicit arg wins, then ``$DOUBLECHECKER_ANALYSIS_SHARDS``, then
-    1 = the single-analyzer pipeline).  Same contract and error shape
-    as :func:`resolve_shards`."""
-    if analysis_shards is None:
-        raw = os.environ.get(ANALYSIS_SHARDS_ENV)
-        if raw is None or raw.strip() == "":
-            return 1
-        try:
-            analysis_shards = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{ANALYSIS_SHARDS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if analysis_shards < 1:
-        raise ValueError(
-            f"--analysis-shards must be >= 1, got {analysis_shards}"
-        )
-    if analysis_shards > MAX_SHARDS:
-        raise ValueError(
-            f"--analysis-shards must be <= {MAX_SHARDS}, got "
-            f"{analysis_shards} (each partition is a worker process)"
-        )
-    return analysis_shards
-
-
-__all__ = [
-    "SHARDS_ENV", "ANALYSIS_SHARDS_ENV", "MAX_SHARDS",
-    "resolve_shards", "resolve_analysis_shards",
-]
+__all__ = ["SHARDS_ENV", "MAX_SHARDS", "resolve_shards"]

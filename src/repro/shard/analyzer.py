@@ -137,14 +137,7 @@ class ShardChannel:
     them, so a definition always precedes its first reference.
     """
 
-    def __init__(
-        self,
-        queues: List[Any],
-        obs: Any = None,
-        *,
-        desc_base: int = 0,
-        desc_stride: int = 1,
-    ) -> None:
+    def __init__(self, queues: List[Any], obs: Any = None) -> None:
         self.queues = queues
         self.n = len(queues)
         #: analysis shard's registry (None when telemetry is off); the
@@ -159,17 +152,8 @@ class ShardChannel:
         self.tid_by_name: Dict[str, int] = {}
         #: (site, address, kind) -> (worker desc, owning shard index)
         self.descs: Dict[tuple, Tuple[int, int]] = {}
-        #: worker desc -> (kind, oid, fieldname, site_str) for capture.
-        #: A dict, not a list: under a partitioned analysis plane every
-        #: emitter (exchange owner + each partition worker) mints ids
-        #: from its own strided lane (owner ``0, S, 2S, ...``, worker
-        #: ``a`` from ``a+1`` step ``S = analysis_shards + 1``) so id
-        #: spaces never collide without coordination, and the owner
-        #: merges the workers' tables for capture.  The default
-        #: base 0 / stride 1 is the dense single-analyzer numbering.
-        self.desc_meta: Dict[int, tuple] = {}
-        self._next_desc = desc_base
-        self._desc_stride = desc_stride
+        #: worker desc -> (kind, oid, fieldname, site_str) for capture
+        self.desc_meta: List[tuple] = []
         # wire accounting (merged into the shard.* obs counters)
         self.records = 0
         self.chunks = 0
@@ -191,11 +175,10 @@ class ShardChannel:
         kind: AccessKind,
         site_str: str,
     ) -> Tuple[int, int]:
-        d = self._next_desc
-        self._next_desc = d + self._desc_stride
+        d = len(self.desc_meta)
         widx = shard_of(address[0], address[1], self.n)
         entry = self.descs[(site, address, kind)] = (d, widx)
-        self.desc_meta[d] = (kind, address[0], address[1], site_str)
+        self.desc_meta.append((kind, address[0], address[1], site_str))
         # broadcast: records for d flow only to the owner, but any
         # shard may have to expand d later when it assembles a PCD job
         # from peer slices
@@ -360,7 +343,6 @@ class ShardedICD(ICD):
         self.channel = channel
         self.peak_samples: List[int] = []
         super().__init__(spec, **kwargs)
-        self.edge_tap = self._broadcast_edge
 
     # ------------------------------------------------------------------
     # barriers (serial copies; only the logging tail differs)
@@ -596,19 +578,18 @@ class ShardedICD(ICD):
         self.channel.tx_end()
         super()._transaction_ended(tx)
 
-    def _broadcast_edge(self, edge) -> None:
-        # ICD's edge_tap hook fires at the very end of _add_edge —
-        # after eager detection may have announced a job — so the
-        # W_EDGE record lands in exactly the stream position the old
-        # _add_edge override produced
-        ch = self.channel
-        ch.edge(
-            ch.tid_by_name[edge.src.thread_name],
-            ch.tid_by_name[edge.dst.thread_name],
-            edge.order,
-            edge.src.tx_id,
-            edge.dst.tx_id,
-        )
+    def _add_edge(self, src, dst, kind):
+        edge = super()._add_edge(src, dst, kind)
+        if edge is not None:
+            ch = self.channel
+            ch.edge(
+                ch.tid_by_name[edge.src.thread_name],
+                ch.tid_by_name[edge.dst.thread_name],
+                edge.order,
+                edge.src.tx_id,
+                edge.dst.tx_id,
+            )
+        return edge
 
     def _maybe_collect(self) -> None:
         # serial copy with two additions: the aligned peak sample and
@@ -796,30 +777,28 @@ def _analyze(cfg: dict, q_in, worker_queues, obs: Any = None) -> dict:
                         AccessEvent(seq, threads[t], obj, fieldname, kind,
                                     is_sync, is_array, site)
                     )
-                # lifecycle records carry a trailing stamp (the merge
-                # key for partitioned analysis planes) — skipped here
                 elif v == T_ENTER:
                     icd.on_method_enter(
                         threads[arr[i + 1]], methods[arr[i + 2]], arr[i + 3]
                     )
-                    i += 5
+                    i += 4
                 elif v == T_EXIT:
                     icd.on_method_exit(
                         threads[arr[i + 1]], methods[arr[i + 2]], arr[i + 3]
                     )
-                    i += 5
+                    i += 4
                 elif v == T_TSTART:
                     icd.on_thread_start(threads[arr[i + 1]])
-                    i += 3
+                    i += 2
                 elif v == T_TEND:
                     icd.on_thread_end(threads[arr[i + 1]])
-                    i += 3
+                    i += 2
                 elif v == T_BLOCK:
                     view.blocked[threads[arr[i + 1]]] = bool(arr[i + 2])
-                    i += 4
+                    i += 3
                 else:  # T_END
                     ended = True
-                    i += 2
+                    i += 1
             if obs is not None:
                 now = time.perf_counter()
                 obs.observe("shard.analyzer.chunk.seconds",
@@ -871,10 +850,6 @@ def _merge(
     components_small: int,
     transactions_small: int,
     obs: Any = None,
-    *,
-    extra_counters: Optional[dict] = None,
-    analysis_cpu: Optional[List[float]] = None,
-    analysis_telemetry: Optional[list] = None,
 ) -> dict:
     merge_started = time.perf_counter()
     nworkers = channel.n
@@ -960,10 +935,6 @@ def _merge(
             "workers": [w["cpu_seconds"] for w in workers],
         },
     }
-    if extra_counters:
-        bundle["counters"].update(extra_counters)
-    if analysis_cpu is not None:
-        bundle["cpu_seconds"]["analysis"] = analysis_cpu
 
     if transitions is not None:
         bundle["capture"] = _capture_bundle(icd, channel, transitions, workers)
@@ -977,8 +948,6 @@ def _merge(
         "analyzer": telemetry_capsule(obs),
         "workers": [w.pop("telemetry", None) for w in workers],
     }
-    if analysis_telemetry is not None:
-        bundle["telemetry"]["analysis"] = analysis_telemetry
     return bundle
 
 

@@ -18,17 +18,6 @@ Topology (``N = shards`` worker processes)::
                                    │ job results, stat shares
                                    └── log shards (peer slice mesh)
 
-With ``--analysis-shards A > 1`` the analysis shard itself splits into
-``A`` partition workers plus one exchange owner (see
-:mod:`repro.shard.partition` and :mod:`repro.shard.exchange`)::
-
-    coordinator ──per-partition records──▶ analysis worker 0..A-1
-        (executor)                               │ forwarded records
-                                                 ▼ (k-way seq merge)
-             log shard 1..N-1 ◀──records──  exchange owner (Octet+ICD)
-                  ▲ absorbed records (drained at W_ADVANCE barriers)
-                  └────────── analysis workers (direct)
-
 Every child is a forked daemon; the coordinator polls the result queue
 with a liveness check so a crashed child surfaces as an error instead
 of a hang, and analysis-side exceptions (including the deterministic
@@ -47,9 +36,7 @@ from repro.obs.registry import NOOP, publish_stats, recorder as obs_recorder
 from repro.obs.wire import merge_capsule, sample_depth, trace_context
 from repro.runtime.executor import Executor
 from repro.shard.analyzer import run_analyzer
-from repro.shard.exchange import run_exchange
 from repro.shard.logworker import run_worker
-from repro.shard.partition import run_partition
 from repro.shard.recorder import ShardStreamRecorder
 
 
@@ -94,7 +81,6 @@ def run_single_sharded(
     scheduler,
     shards: int,
     *,
-    analysis_shards: int = 1,
     monitor_unary: bool = True,
     capture: bool = False,
     stats_out: Optional[dict] = None,
@@ -106,9 +92,6 @@ def run_single_sharded(
     ``None`` unless ``capture=True``.  ``stats_out``, if given, is
     filled with per-role CPU seconds and wire counters (the sharded
     benchmark reads these to compute the pipeline critical path).
-    ``analysis_shards > 1`` splits the analysis shard into that many
-    partition workers plus an exchange owner (the partitioned analysis
-    plane); results stay byte-identical at any shard count.
     """
     from repro.core.doublechecker import SingleRunResult
 
@@ -117,7 +100,6 @@ def run_single_sharded(
     cfg = {
         "spec": checker.spec,
         "shards": shards,
-        "analysis_shards": analysis_shards,
         "monitor_unary": monitor_unary,
         "instrument_arrays": checker.instrument_arrays,
         "cycle_detection": checker.cycle_detection,
@@ -135,52 +117,24 @@ def run_single_sharded(
     # mp.Queue (feeder-thread buffered) everywhere: a synchronous pipe
     # (SimpleQueue) can deadlock the peer slice mesh — two log shards
     # sending each other slices block on full pipes simultaneously
+    q_analyzer = ctx.Queue()
     worker_queues = [ctx.Queue() for _ in range(nworkers)]
     q_result = ctx.Queue()
 
-    children = []
-    if analysis_shards > 1:
-        # partitioned analysis plane: A partition workers feed one
-        # exchange owner; the log shards' feedback (job results, stat
-        # shares) flows to the owner
-        q_parts = [ctx.Queue() for _ in range(analysis_shards)]
-        q_exchange = ctx.Queue()
-        q_feedback = q_exchange
-        children.append(
-            ctx.Process(
-                target=run_exchange,
-                args=(cfg, q_exchange, worker_queues, q_result),
-                name="shard-exchange",
-                daemon=True,
-            )
+    children = [
+        ctx.Process(
+            target=run_analyzer,
+            args=(cfg, q_analyzer, worker_queues, q_result),
+            name="shard-analyzer",
+            daemon=True,
         )
-        for aidx in range(analysis_shards):
-            children.append(
-                ctx.Process(
-                    target=run_partition,
-                    args=(cfg, aidx, q_parts[aidx], q_exchange,
-                          worker_queues, q_parts),
-                    name=f"shard-analysis-{aidx}",
-                    daemon=True,
-                )
-            )
-    else:
-        q_analyzer = ctx.Queue()
-        q_feedback = q_analyzer
-        children.append(
-            ctx.Process(
-                target=run_analyzer,
-                args=(cfg, q_analyzer, worker_queues, q_result),
-                name="shard-analyzer",
-                daemon=True,
-            )
-        )
+    ]
     for widx in range(nworkers):
         children.append(
             ctx.Process(
                 target=run_worker,
                 args=(cfg, widx, worker_queues[widx], worker_queues,
-                      q_feedback, q_result),
+                      q_analyzer, q_result),
                 name=f"shard-log-{widx}",
                 daemon=True,
             )
@@ -191,33 +145,7 @@ def run_single_sharded(
     try:
         for child in children:
             child.start()
-        if analysis_shards > 1:
-            if obs.enabled:
-                epoch = obs.epoch
-                part_ordinals = [0] * analysis_shards
-
-                def _sink_fanout(part, defs, payload, stamp):
-                    # flow start: binds to partition worker `part`'s
-                    # matching finish (FIFO queue, per-worker ordinal
-                    # in the wchunk id convention)
-                    obs.emit_flow("shard.chunk",
-                                  time.perf_counter() - epoch,
-                                  part * 1_000_000 + part_ordinals[part],
-                                  "s")
-                    part_ordinals[part] += 1
-                    q_parts[part].put(("C", defs, payload, stamp))
-                    sample_depth(obs, "shard.queue.c2p.depth",
-                                 q_parts[part])
-
-            else:
-
-                def _sink_fanout(part, defs, payload, stamp):
-                    q_parts[part].put(("C", defs, payload, stamp))
-
-            recorder = ShardStreamRecorder(
-                _sink_fanout, partitions=analysis_shards
-            )
-        elif obs.enabled:
+        if obs.enabled:
             epoch = obs.epoch
             chunk_ordinal = [0]
 
@@ -377,16 +305,10 @@ def _publish(recorder: ShardStreamRecorder, bundle: dict, shards: int,
         obs.observe("shard.cpu.analyzer.seconds", cpu["analyzer"])
     for worker_cpu in cpu.get("workers", ()):
         obs.observe("shard.cpu.logshard.seconds", worker_cpu)
-    # partitioned analysis plane: one sample per partition worker (the
-    # "analyzer" sample above is the exchange owner in this topology)
-    for analysis_cpu in cpu.get("analysis", ()):
-        obs.observe("shard.cpu.analysis.seconds", analysis_cpu)
     # fold the children's span/histogram buffers into the run timeline
     telemetry = bundle.get("telemetry") or {}
     merge_capsule(obs, telemetry.get("analyzer"))
     for capsule in telemetry.get("workers", ()):
-        merge_capsule(obs, capsule)
-    for capsule in telemetry.get("analysis", ()):
         merge_capsule(obs, capsule)
 
 

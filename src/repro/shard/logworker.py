@@ -31,7 +31,6 @@ from __future__ import annotations
 import time
 import traceback
 from array import array
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.pcd import PCD
@@ -47,7 +46,6 @@ from repro.obs.wire import (
 )
 from repro.runtime.events import AccessKind
 from repro.shard.wire import (
-    W_ADVANCE,
     W_EDGE,
     W_JOB,
     W_SWEEP,
@@ -91,27 +89,12 @@ class LogShard:
     def __init__(self, widx: int, nworkers: int, capture: bool,
                  worker_queues, q_analyzer, *,
                  pcd_memory_budget: Optional[int] = None,
-                 use_engine: bool = True, obs=None,
-                 nparts: int = 0, q_in=None) -> None:
+                 use_engine: bool = True, obs=None) -> None:
         self.widx = widx
         self.nworkers = nworkers
         self.capture = capture
         self.worker_queues = worker_queues
         self.q_analyzer = q_analyzer
-        # partitioned analysis plane (analysis shards > 1): absorbed
-        # records arrive out-of-band in per-partition "P" streams and
-        # are drained back into global seq order at W_ADVANCE barriers
-        self.nparts = nparts
-        self.q_in = q_in
-        #: per partition worker: buffered (seq, desc, tid) triples
-        self._pq: List[deque] = [deque() for _ in range(nparts)]
-        #: per partition worker: forwarding watermark (no triple with a
-        #: seq <= the watermark will ever arrive after it)
-        self._pwm: List[int] = [0] * nparts
-        #: owner "C"/"F" messages pulled off q_in while blocked inside
-        #: a drain; replayed by the main loop in arrival order
-        self.deferred: deque = deque()
-        self.deferred_final: Optional[int] = None
         #: this shard's registry (None when telemetry is off)
         self.obs = obs
         #: chunks consumed so far — the flow-arrow id for this shard's
@@ -254,9 +237,6 @@ class LogShard:
                         0 if dcol is None else len(dcol) // 2,
                     )
                 i += 6
-            elif v == W_ADVANCE:
-                self._drain_until(arr[i + 1])
-                i += 2
             else:  # W_SWEEP
                 # the serial peak sample is taken just before the sweep
                 self.samples.append(self.live)
@@ -275,89 +255,6 @@ class LogShard:
                            ts=chunk_started - obs.epoch,
                            dur=now - chunk_started,
                            args={"ordinal": self.chunks_in - 1})
-
-    # ------------------------------------------------------------------
-    # partitioned analysis plane: absorbed-record drain
-    # ------------------------------------------------------------------
-    def _access(self, v: int, seq: int, tid: int) -> None:
-        """One absorbed record through the logging tail.
-
-        Mirror of the inline ``v >= 0`` body in :meth:`handle_chunk`
-        (kept inline there so the single-analyzer hot path pays no
-        method call per record).
-        """
-        meta = self.descs[v]
-        kind = meta[0]
-        address = meta[4]
-        per_thread = self.last_by_tid.get(tid)
-        if per_thread is None:
-            per_thread = self.last_by_tid[tid] = {}
-        ts = self.ts_by_tid.get(tid, 0)
-        last = per_thread.get(address)
-        if last is not None and last[0] == ts and (
-            last[1] is kind or last[1] is AccessKind.WRITE
-        ):
-            self.el_elided += 1
-            return
-        per_thread[address] = (ts, kind)
-        self.el_logged += 1
-        tx_id = self.cur_tx[tid]
-        col = self.cols.get(tx_id)
-        if col is None:
-            col = self.cols[tx_id] = array("q")
-        col.append(v)
-        col.append(seq)
-        self.entries += 1
-        self.live += 1
-
-    def _handle_p(self, aidx: int, defs: tuple, payload: bytes,
-                  watermark: int) -> None:
-        if defs:
-            self.handle_defs(defs)
-        arr = decode_chunk(payload)
-        q = self._pq[aidx]
-        for i in range(0, len(arr), 3):
-            q.append((arr[i + 1], arr[i], arr[i + 2]))
-        self._pwm[aidx] = watermark
-
-    def _drain_until(self, s: int) -> None:
-        """Block until every partition stream has advanced past ``s``,
-        then fold the buffered absorbed records with seq <= ``s`` into
-        the log state, merged across partitions by seq.
-
-        The owner placed the W_ADVANCE barrier immediately before the
-        record at position ``s``, so everything drained here precedes
-        everything the owner's dispatch emits after it — the byte-exact
-        serial stream order.  Owner messages pulled off the queue while
-        blocked are deferred to the main loop.
-        """
-        pwm = self._pwm
-        while min(pwm) < s:
-            msg = stalled_get(self.q_in, self.obs,
-                              "shard.stall.logshard.get.seconds")
-            tag = msg[0]
-            if tag == "P":
-                self._handle_p(msg[1], msg[2], msg[3], msg[4])
-            elif tag == "S":
-                self.handle_slice(msg[1], msg[2], msg[3])
-            elif tag == "F":
-                self.deferred_final = msg[1]
-            else:  # "C" — owner records beyond this barrier
-                self.deferred.append(msg)
-        pq = self._pq
-        while True:
-            best = -1
-            bq = None
-            for q in pq:
-                if q:
-                    seq = q[0][0]
-                    if bq is None or seq < best:
-                        best = seq
-                        bq = q
-            if bq is None or best > s:
-                break
-            seq, d, tid = bq.popleft()
-            self._access(d, seq, tid)
 
     # ------------------------------------------------------------------
     # components
@@ -591,25 +488,13 @@ def run_worker(cfg: dict, widx: int, q_in, worker_queues, q_analyzer,
         if obs is not None:
             use_registry(obs)
             run_started = time.perf_counter()
-        analysis_shards = cfg.get("analysis_shards", 1)
         shard = LogShard(
             widx, cfg["shards"] - 1, cfg["capture"], worker_queues, q_analyzer,
             pcd_memory_budget=cfg["pcd_memory_budget"],
             use_engine=cfg["use_engine"], obs=obs,
-            nparts=analysis_shards if analysis_shards > 1 else 0,
-            q_in=q_in,
         )
         while not shard.finished():
-            # a drain barrier may have pulled owner messages off the
-            # queue out of turn; replay those first, in arrival order
-            if shard.deferred:
-                msg = shard.deferred.popleft()
-            elif shard.deferred_final is not None:
-                msg = ("F", shard.deferred_final)
-                shard.deferred_final = None
-            else:
-                msg = stalled_get(q_in, obs,
-                                  "shard.stall.logshard.get.seconds")
+            msg = stalled_get(q_in, obs, "shard.stall.logshard.get.seconds")
             tag = msg[0]
             if tag == "C":
                 _, defs, payload = msg
@@ -617,8 +502,6 @@ def run_worker(cfg: dict, widx: int, q_in, worker_queues, q_analyzer,
                     shard.handle_defs(defs)
                 shard.handle_chunk(payload)
                 shard.run_ready_jobs()
-            elif tag == "P":
-                shard._handle_p(msg[1], msg[2], msg[3], msg[4])
             elif tag == "S":
                 shard.handle_slice(msg[1], msg[2], msg[3])
                 shard.run_ready_jobs()

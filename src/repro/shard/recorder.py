@@ -4,7 +4,7 @@ Replaces the in-process ICD as the executor's single listener when the
 run is sharded: every listener-visible fact — accesses, method
 enter/exit, thread lifecycle, blocked-state flips — is serialized into
 the :mod:`repro.shard.wire` record stream and shipped to the analysis
-plane.  The executor itself is untouched; because analyses never feed
+shard.  The executor itself is untouched; because analyses never feed
 back into scheduling, the recorded execution is step-for-step the one
 the serial run would produce.
 
@@ -15,30 +15,17 @@ determines object, field, kind and site — kind is static per site)
 and appends three ints.  The event path (sync pseudo-accesses,
 generator frames, first accesses) interns a descriptor per ``(site,
 oid, field, kind)`` and appends four.
-
-Every lifecycle record carries a trailing stamp — the seq of the last
-access emitted before it — so a partitioned analysis plane can merge
-worker streams back into global order (see :mod:`repro.shard.wire`).
-
-With ``partitions=A > 1`` the recorder fans out: it keeps one buffer
-per partition worker, routes each access to the partition owning its
-object (:func:`~repro.shard.wire.partition_of`), broadcasts
-definitions and lifecycle records to every partition, and flushes all
-partitions in lockstep so their watermarks advance together.  Flushed
-buffers cycle through a :class:`~repro.shard.wire.ChunkPool` freelist
-instead of being allocated per flush.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.runtime.events import AccessEvent, AccessKind, Site
 from repro.runtime.listeners import ExecutionListener
 from repro.shard.wire import (
     CHUNK_INTS,
-    ChunkPool,
     T_BLOCK,
     T_END,
     T_ENTER,
@@ -47,7 +34,6 @@ from repro.shard.wire import (
     T_TEND,
     T_TSTART,
     encode_chunk,
-    partition_of,
 )
 
 
@@ -55,38 +41,15 @@ class ShardStreamRecorder(ExecutionListener):
     """Serialize the execution's listener stream into record chunks.
 
     Args:
-        sink: per-flush callable.  With ``partitions == 1`` it receives
-            ``(defs, chunk_bytes)``; with ``partitions > 1`` it
-            receives ``(partition, defs, chunk_bytes, stamp)`` where
-            ``stamp`` is the last access seq covered by the flush.
+        sink: callable receiving ``(defs, chunk_bytes)`` per flush;
             ``defs`` is a tuple of definition tuples (see module docs
             of :mod:`repro.shard.wire`) or ``()``.
-        partitions: analysis-plane partition count (1 = single
-            analyzer stream).
     """
 
-    def __init__(
-        self,
-        sink: Callable[..., None],
-        *,
-        partitions: int = 1,
-    ) -> None:
+    def __init__(self, sink: Callable[[tuple, bytes], None]) -> None:
         self._sink = sink
-        self._partitions = partitions
-        self._pool = ChunkPool(cap=2 * partitions + 2)
-        if partitions <= 1:
-            self._buf = array("q")
-        else:
-            self._bufs: List[array] = [
-                self._pool.acquire() for _ in range(partitions)
-            ]
-            self._deflists: List[list] = [[] for _ in range(partitions)]
-            #: desc/edesc id -> owning partition (dense, append order)
-            self._part_by_desc: List[int] = []
-            self._part_by_edesc: List[int] = []
+        self._buf = array("q")
         self._defs: list = []
-        #: seq of the last access record emitted (lifecycle stamp)
-        self._last_seq = 0
         # interning tables; ids are dense and defined before first use
         self._tids: Dict[str, int] = {}
         self._mids: Dict[str, int] = {}
@@ -105,25 +68,18 @@ class ShardStreamRecorder(ExecutionListener):
     # ------------------------------------------------------------------
     # interning
     # ------------------------------------------------------------------
-    def _def(self, d: tuple) -> None:
-        if self._partitions == 1:
-            self._defs.append(d)
-        else:
-            for lst in self._deflists:
-                lst.append(d)
-
     def _tid(self, thread: str) -> int:
         t = self._tids.get(thread)
         if t is None:
             t = self._tids[thread] = len(self._tids)
-            self._def(("t", t, thread))
+            self._defs.append(("t", t, thread))
         return t
 
     def _mid(self, method: str) -> int:
         m = self._mids.get(method)
         if m is None:
             m = self._mids[method] = len(self._mids)
-            self._def(("m", m, method))
+            self._defs.append(("m", m, method))
         return m
 
     def _register_desc(
@@ -136,11 +92,7 @@ class ShardStreamRecorder(ExecutionListener):
         desc = self._next_desc
         self._next_desc = desc + 1
         self._desc_by_site.setdefault(site, {})[address] = desc
-        if self._partitions > 1:
-            self._part_by_desc.append(
-                partition_of(address[0], self._partitions)
-            )
-        self._def(
+        self._defs.append(
             (
                 "d",
                 desc,
@@ -159,11 +111,7 @@ class ShardStreamRecorder(ExecutionListener):
         self._next_edesc = edesc + 1
         self._event_descs[key] = edesc
         site = event.site
-        if self._partitions > 1:
-            self._part_by_edesc.append(
-                partition_of(event.obj.oid, self._partitions)
-            )
-        self._def(
+        self._defs.append(
             (
                 "e",
                 edesc,
@@ -194,33 +142,10 @@ class ShardStreamRecorder(ExecutionListener):
         self.defs_shipped += len(defs)
         self._sink(defs, payload)
 
-    def _flush_all(self) -> None:
-        """Fan-out flush: ship every partition's buffer (even empty
-        ones — the stamp doubles as the partition worker's forwarding
-        watermark, so all streams must advance together)."""
-        stamp = self._last_seq
-        pool = self._pool
-        bufs = self._bufs
-        deflists = self._deflists
-        sink = self._sink
-        for part in range(self._partitions):
-            shipped = bufs[part]
-            bufs[part] = pool.acquire()
-            defs = tuple(deflists[part])
-            deflists[part].clear()
-            payload = encode_chunk(shipped)
-            pool.release(shipped)
-            self.chunks += 1
-            self.bytes_shipped += len(payload)
-            self.defs_shipped += len(defs)
-            sink(part, defs, payload, stamp)
-
     # ------------------------------------------------------------------
     # barriers
     # ------------------------------------------------------------------
     def access_barrier(self) -> Callable[[AccessEvent], None]:
-        if self._partitions > 1:
-            return self._access_barrier_fanout()
         buf = self._buf
         append = buf.append
         tids = self._tids
@@ -242,7 +167,6 @@ class ShardStreamRecorder(ExecutionListener):
             append(edesc)
             append(event.seq)
             append(t)
-            self._last_seq = event.seq
             self.records += 1
             if len(buf) >= CHUNK_INTS:
                 flush()
@@ -250,8 +174,6 @@ class ShardStreamRecorder(ExecutionListener):
         return record_event
 
     def access_barrier_batch(self) -> Optional[Callable[..., None]]:
-        if self._partitions > 1:
-            return self._access_barrier_batch_fanout()
         buf = self._buf
         append = buf.append
         tids = self._tids
@@ -281,121 +203,52 @@ class ShardStreamRecorder(ExecutionListener):
             append(desc)
             append(seq)
             append(t)
-            self._last_seq = seq
             self.records += 1
             if len(buf) >= CHUNK_INTS:
                 flush()
 
         return record_batch
 
-    def _access_barrier_fanout(self) -> Callable[[AccessEvent], None]:
-        bufs = self._bufs
-        parts = self._part_by_edesc
-        tids = self._tids
-        get_tid = self._tid
-        event_descs = self._event_descs
-        register = self._register_edesc
-        flush_all = self._flush_all
-
-        def record_event(event: AccessEvent) -> None:
-            key = (event.site, event.obj.oid, event.fieldname,
-                   event.kind.value)
-            edesc = event_descs.get(key)
-            if edesc is None:
-                edesc = register(key, event)
-            t = tids.get(event.thread_name)
-            if t is None:
-                t = get_tid(event.thread_name)
-            buf = bufs[parts[edesc]]
-            buf.append(T_EVENT)
-            buf.append(edesc)
-            buf.append(event.seq)
-            buf.append(t)
-            self._last_seq = event.seq
-            self.records += 1
-            if len(buf) >= CHUNK_INTS:
-                flush_all()
-
-        return record_event
-
-    def _access_barrier_batch_fanout(self) -> Callable[..., None]:
-        bufs = self._bufs
-        parts = self._part_by_desc
-        tids = self._tids
-        get_tid = self._tid
-        by_site = self._desc_by_site
-        register = self._register_desc
-        flush_all = self._flush_all
-
-        def record_batch(
-            seq: int,
-            thread: str,
-            obj: Any,
-            fieldname: str,
-            kind: AccessKind,
-            site: Site,
-            address: Tuple[int, str],
-            site_str: str,
-            is_array: bool,
-        ) -> None:
-            sub = by_site.get(site)
-            desc = sub.get(address) if sub is not None else None
-            if desc is None:
-                desc = register(site, address, kind, is_array)
-            t = tids.get(thread)
-            if t is None:
-                t = get_tid(thread)
-            buf = bufs[parts[desc]]
-            buf.append(desc)
-            buf.append(seq)
-            buf.append(t)
-            self._last_seq = seq
-            self.records += 1
-            if len(buf) >= CHUNK_INTS:
-                flush_all()
-
-        return record_batch
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _life(self, *rec: int) -> None:
-        stamp = self._last_seq
-        if self._partitions == 1:
-            buf = self._buf
-            for v in rec:
-                buf.append(v)
-            buf.append(stamp)
-        else:
-            for buf in self._bufs:
-                for v in rec:
-                    buf.append(v)
-                buf.append(stamp)
-
     def on_thread_start(self, thread_name: str) -> None:
-        self._life(T_TSTART, self._tid(thread_name))
+        self._buf.append(T_TSTART)
+        self._buf.append(self._tid(thread_name))
 
     def on_thread_end(self, thread_name: str) -> None:
-        self._life(T_TEND, self._tid(thread_name))
+        self._buf.append(T_TEND)
+        self._buf.append(self._tid(thread_name))
 
     def on_method_enter(self, thread_name: str, method: str, depth: int) -> None:
-        self._life(T_ENTER, self._tid(thread_name), self._mid(method), depth)
+        buf = self._buf
+        buf.append(T_ENTER)
+        buf.append(self._tid(thread_name))
+        buf.append(self._mid(method))
+        buf.append(depth)
 
     def on_method_exit(self, thread_name: str, method: str, depth: int) -> None:
-        self._life(T_EXIT, self._tid(thread_name), self._mid(method), depth)
+        buf = self._buf
+        buf.append(T_EXIT)
+        buf.append(self._tid(thread_name))
+        buf.append(self._mid(method))
+        buf.append(depth)
 
     def on_thread_blocked(self, thread_name: str) -> None:
-        self._life(T_BLOCK, self._tid(thread_name), 1)
+        buf = self._buf
+        buf.append(T_BLOCK)
+        buf.append(self._tid(thread_name))
+        buf.append(1)
 
     def on_thread_unblocked(self, thread_name: str) -> None:
-        self._life(T_BLOCK, self._tid(thread_name), 0)
+        buf = self._buf
+        buf.append(T_BLOCK)
+        buf.append(self._tid(thread_name))
+        buf.append(0)
 
     def on_execution_end(self) -> None:
-        self._life(T_END)
-        if self._partitions == 1:
-            self._flush()
-        else:
-            self._flush_all()
+        self._buf.append(T_END)
+        self._flush()
 
 
 __all__ = ["ShardStreamRecorder"]

@@ -1,54 +1,37 @@
 """Wire format for the sharded analysis pipeline.
 
-All inter-process streams — coordinator → analysis plane, partition
-worker → exchange owner, and analysis plane → log shards — are
-sequences of **int64 records** batched into ``array('q')`` chunks and
-shipped as flat bytes, reusing the columnar idiom of the batch
-executor: the hot path appends small integers to a pre-grown array and
-periodically flushes ``tobytes()``; nothing is pickled per event.
-Strings (thread names, field names, method names, site strings) travel
-out-of-band as *definition* tuples attached to the chunk message that
-first needs them; a definition always precedes the first record that
-references its id because the sender registers ids eagerly and flushes
-definitions with (or before) the chunk that uses them.
+Both inter-process streams — coordinator → analysis shard and analysis
+shard → log shards — are sequences of **int64 records** batched into
+``array('q')`` chunks and shipped as flat bytes, reusing the columnar
+idiom of the batch executor: the hot path appends small integers to a
+pre-grown array and periodically flushes ``tobytes()``; nothing is
+pickled per event.  Strings (thread names, field names, method names,
+site strings) travel out-of-band as *definition* tuples attached to
+the chunk message that first needs them; a definition always precedes
+the first record that references its id because the sender registers
+ids eagerly and flushes definitions with (or before) the chunk that
+uses them.
 
 Record layouts (first int is the tag; non-negative tags are interned
 access descriptors, so the common case costs three ints)::
 
-  coordinator -> analysis plane
+  coordinator -> analyzer
     desc >= 0 : [desc, seq, tid]           batch-path access
     T_EVENT   : [tag, edesc, seq, tid]     event-path access
-    T_ENTER   : [tag, tid, mid, depth, stamp]   method enter
-    T_EXIT    : [tag, tid, mid, depth, stamp]   method exit
-    T_TSTART  : [tag, tid, stamp]          thread start
-    T_TEND    : [tag, tid, stamp]          thread end
-    T_BLOCK   : [tag, tid, 0|1, stamp]     blocked-state flip
-    T_END     : [tag, stamp]               execution end
+    T_ENTER   : [tag, tid, mid, depth]     method enter
+    T_EXIT    : [tag, tid, mid, depth]     method exit
+    T_TSTART  : [tag, tid]                 thread start
+    T_TEND    : [tag, tid]                 thread end
+    T_BLOCK   : [tag, tid, 0|1]            blocked-state flip
+    T_END     : [tag]                      execution end
 
-  analysis plane -> log shard
+  analyzer -> log shard
     d >= 0    : [d, seq, tid]              log-record candidate
     W_TXSTART : [tag, tid, txid]           transaction start
     W_TXEND   : [tag]                      transaction end (sampling)
     W_EDGE    : [tag, stid, dtid, order, stxid, dtxid]
     W_SWEEP   : [tag, n, txid * n]         GC sweep (peak sample point)
     W_JOB     : [tag, ordinal]             PCD job cutoff sentinel
-    W_ADVANCE : [tag, stamp]               partition-stream barrier
-
-Lifecycle records carry a trailing *stamp*: the seq of the last access
-the coordinator emitted before them.  With a single analysis worker
-the stamp is simply skipped on decode; with ``--analysis-shards N`` it
-is the merge key that interleaves worker 0's forwarded lifecycle
-records into the globally seq-ordered access stream at the exchange
-owner (a lifecycle record stamped ``s`` sorts *after* the access with
-seq ``s``).
-
-``W_ADVANCE`` exists only under a partitioned analysis plane: the
-exchange owner emits it before each merged record so a log shard knows
-every partition worker's directly-shipped records with ``seq <= stamp``
-must drain ahead of the owner records that follow.  Partition workers
-ship absorbed fast-path accesses straight to the owning log shard
-(same ``[d, seq, tid]`` layout, descriptor ids strided so owner and
-worker id spaces never collide) in watermarked batches.
 
 Access *descriptors* intern the immutable part of an access — object,
 field, kind, site — per ``(site, address)`` pair (kind is static per
@@ -58,19 +41,16 @@ is just ``[desc, seq, tid]``.
 The address partition is a stable hash of the ``(oid, field)`` pair:
 :func:`shard_of` uses ``zlib.crc32`` (process-independent, unlike
 Python's randomized ``hash``) so every process agrees on ownership.
-The analysis-plane partition (:func:`partition_of`) hashes the ``oid``
-*alone* — Octet ownership state is per-object, so every field of one
-object must land on the same partition worker.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Tuple
+from typing import Tuple
 from zlib import crc32
 
 # ---------------------------------------------------------------------
-# coordinator -> analysis plane record tags
+# coordinator -> analyzer record tags
 # ---------------------------------------------------------------------
 T_EVENT = -1
 T_ENTER = -2
@@ -81,7 +61,7 @@ T_BLOCK = -6
 T_END = -7
 
 # ---------------------------------------------------------------------
-# analysis plane -> log shard record tags
+# analyzer -> log shard record tags
 # ---------------------------------------------------------------------
 W_TXSTART = -1
 W_TXEND = -2
@@ -91,13 +71,6 @@ W_SWEEP = -4
 #: stream *is* the job's log cutoff (the member spec rides the same
 #: chunk's defs tuple), so announcing a job costs no extra flush
 W_JOB = -5
-#: partition-stream barrier: drain worker-shipped records up to the
-#: stamp before applying whatever the exchange owner sends next
-W_ADVANCE = -6
-
-#: watermark value meaning "this stream is complete" — larger than any
-#: real seq, small enough to survive int64 arithmetic
-STAMP_INF = 2 ** 62
 
 #: flush threshold for the coordinator's record buffer, in int64s
 #: (~192 KiB per message: large enough to amortize queue overhead,
@@ -114,41 +87,6 @@ def shard_of(oid: int, fieldname: str, nshards: int) -> int:
     (Python's ``hash`` is salted per process, which would scatter the
     same address to different shards on replay)."""
     return crc32(b"%d.%s" % (oid, fieldname.encode())) % nshards
-
-
-def partition_of(oid: int, nparts: int) -> int:
-    """Stable analysis-plane owner of object ``oid`` among ``nparts``
-    partition workers.  Keyed on the object alone (not the field):
-    Octet ownership metadata is per-object state, so splitting one
-    object's fields across workers would split its state machine."""
-    return crc32(b"%d" % oid) % nparts
-
-
-class ChunkPool:
-    """Freelist of reusable ``array('q')`` chunk buffers.
-
-    The recorder's flush path previously paid one fresh ``array('q')``
-    allocation (plus growth re-allocations back up to the chunk size)
-    per shipped chunk; the pool hands flushed buffers back to the hot
-    path once their bytes have been copied out.  Bounded so a burst of
-    in-flight chunks cannot pin unbounded memory.
-    """
-
-    __slots__ = ("_free", "_cap")
-
-    def __init__(self, cap: int = 16) -> None:
-        self._free: List[array] = []
-        self._cap = cap
-
-    def acquire(self) -> array:
-        if self._free:
-            return self._free.pop()
-        return array("q")
-
-    def release(self, buf: array) -> None:
-        if len(self._free) < self._cap:
-            del buf[:]
-            self._free.append(buf)
 
 
 def encode_chunk(buf: array) -> bytes:
@@ -179,8 +117,7 @@ Address = Tuple[int, str]
 __all__ = [
     "T_EVENT", "T_ENTER", "T_EXIT", "T_TSTART", "T_TEND", "T_BLOCK",
     "T_END", "W_TXSTART", "W_TXEND", "W_EDGE", "W_SWEEP", "W_JOB",
-    "W_ADVANCE", "STAMP_INF", "CHUNK_INTS", "WORKER_CHUNK_INTS",
-    "shard_of", "partition_of", "ChunkPool",
+    "CHUNK_INTS", "WORKER_CHUNK_INTS", "shard_of",
     "encode_chunk", "decode_chunk", "pack_columns", "unpack_columns",
     "Address",
 ]

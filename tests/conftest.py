@@ -1,8 +1,24 @@
-"""Pytest configuration for the DoubleChecker reproduction tests."""
+"""Pytest configuration for the DoubleChecker reproduction tests.
+
+Hypothesis profiles: ``ci`` (loaded automatically when ``CI`` is set)
+derandomizes every property test, so a CI run draws the same examples
+every time and a red run is reproducible.  ``explore`` keeps random
+exploration and is opt-in: ``pytest --hypothesis-profile=explore``.
+Per-test ``@settings`` (``max_examples``, ``deadline``) apply under
+both.
+"""
+
+import os
 
 import pytest
+from hypothesis import settings
 
 from repro.runtime.scheduler import RandomScheduler, RoundRobinScheduler
+
+settings.register_profile("ci", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 
 from repro.harness import runner
 from repro.harness.cli import main
+from repro.shard import SHARDS_ENV
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +90,17 @@ class TestPreflights:
         )
         assert code == 2
         assert "sharding only supports the icd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["velodrome", "vc"])
+    def test_inherited_shards_env_degrades_to_serial(
+        self, backend, monkeypatch, capsys
+    ):
+        # only an explicit --shards flag is rejected; an inherited
+        # DOUBLECHECKER_SHARDS runs these backends on their serial path
+        monkeypatch.setenv(SHARDS_ENV, "2")
+        code = main(["check", "--backend", backend, "--names", "hedc"])
+        assert code == 0
+        assert "hedc" in capsys.readouterr().out
 
     def test_crosscheck_rejects_shards(self, capsys):
         code = main(["crosscheck", "--names", "hedc", "--shards", "2"])

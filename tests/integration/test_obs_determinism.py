@@ -31,7 +31,7 @@ from repro.obs.registry import (
     recorder,
     use_registry,
 )
-from repro.shard import SHARDS_ENV, resolve_analysis_shards
+from repro.shard import SHARDS_ENV
 
 WORKLOAD = "hedc"
 
@@ -182,14 +182,7 @@ def test_sharded_full_mode_merges_single_timeline(monkeypatch):
     assert doc["otherData"]["trace_id"] == snapshot["trace_id"]
     labels = set(snapshot["labels"].values())
     assert "coordinator" in labels
-    # under DOUBLECHECKER_ANALYSIS_SHARDS > 1 the analyzer role is the
-    # exchange owner plus per-partition worker tracks
-    partitioned = resolve_analysis_shards(None) > 1
-    if partitioned:
-        assert "shard-exchange" in labels
-        assert "shard-analysis-0" in labels
-    else:
-        assert "shard-analyzer" in labels
+    assert "shard-analyzer" in labels
     assert "shard-log-0" in labels
 
     events = doc["traceEvents"]
@@ -207,9 +200,6 @@ def test_sharded_full_mode_merges_single_timeline(monkeypatch):
     names = {name for name, _id in starts}
     assert "shard.chunk" in names
     assert "shard.job" in names
-    if partitioned:
-        # partition workers forward their residue to the exchange owner
-        assert "shard.xchunk" in names
 
 
 def test_disabled_mode_parallel_path_unchanged():

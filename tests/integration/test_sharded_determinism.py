@@ -15,14 +15,8 @@ a serial run:
   indices anchoring each edge into its endpoint logs);
 * the reported violations, field for field;
 * end-to-end: Table 2, Table 3, and Figure 7 outputs rendered under
-  ``DOUBLECHECKER_SHARDS`` ∈ {1, 2, 4} plus one partitioned-analysis
-  arm (``DOUBLECHECKER_ANALYSIS_SHARDS=2``), byte for byte (Figure 7
-  modulo its measured wall-clock columns).
-
-The random-schedule property additionally crosses the log-shard count
-with ``analysis_shards`` ∈ {1, 2, 4}, so the partition workers, the
-exchange owner's k-way merge, and its ``W_ADVANCE`` drain barriers are
-all exercised against the serial oracle on every example.
+  ``DOUBLECHECKER_SHARDS`` ∈ {1, 2, 4}, byte for byte (Figure 7 modulo
+  its measured wall-clock columns).
 
 The random-schedule property test drives the full multiprocess
 pipeline (fork, int64 chunk streams, peer slice mesh, ordinal-ordered
@@ -39,7 +33,7 @@ from repro.core.pcd import PCD
 from repro.core.reports import ViolationSummary
 from repro.harness import runner, table2, table3
 from repro.runtime.scheduler import RandomScheduler
-from repro.shard import ANALYSIS_SHARDS_ENV, SHARDS_ENV
+from repro.shard import SHARDS_ENV
 from repro.shard.coordinator import run_single_sharded
 from repro.shard.snapshot import CaptureTransitionLog, dump_edges, dump_logs
 from repro.spec.specification import AtomicitySpecification
@@ -81,9 +75,7 @@ def _serial_observables(method_specs, thread_scripts, seed):
     }
 
 
-def _sharded_observables(
-    method_specs, thread_scripts, seed, shards, analysis_shards=1
-):
+def _sharded_observables(method_specs, thread_scripts, seed, shards):
     program = materialize(method_specs, thread_scripts)
     checker = DoubleChecker(AtomicitySpecification.initial(program))
     result, capture = run_single_sharded(
@@ -91,7 +83,6 @@ def _sharded_observables(
         program,
         RandomScheduler(seed=seed, switch_prob=0.7),
         shards,
-        analysis_shards=analysis_shards,
         capture=True,
     )
     return {
@@ -102,26 +93,17 @@ def _sharded_observables(
     }
 
 
-#: (shards, analysis_shards) pipeline topologies the property test
-#: drives against the serial oracle: both log-shard mesh shapes with a
-#: single analysis shard, plus the partitioned analysis plane with the
-#: partition count below, equal to, and above the log-shard count
-PIPELINE_ARMS = ((2, 1), (4, 1), (2, 2), (2, 4), (4, 4))
-
-
 @given(program_strategy)
 @settings(max_examples=15, deadline=None)
 def test_sharded_arms_identical_on_random_schedules(case):
     method_specs, thread_scripts, seed = case
     serial = _serial_observables(method_specs, thread_scripts, seed)
-    for shards, analysis_shards in PIPELINE_ARMS:
+    for shards in (2, 4):
         sharded = _sharded_observables(
-            method_specs, thread_scripts, seed, shards, analysis_shards
+            method_specs, thread_scripts, seed, shards
         )
         for key in ("transitions", "logs", "edges", "violations"):
-            assert sharded[key] == serial[key], (
-                f"shards={shards} analysis_shards={analysis_shards}: {key}"
-            )
+            assert sharded[key] == serial[key], f"shards={shards}: {key}"
 
 
 # ----------------------------------------------------------------------
@@ -132,14 +114,8 @@ TABLE3_NAMES = ["hedc", "elevator"]
 FIGURE7_NAMES = ["hedc"]
 
 #: shards=1 is the degradation path (never forks); 2 and 4 exercise
-#: both mesh topologies (single log shard vs peer slicing); "2a2"
-#: additionally splits the analysis shard into two partition workers
-#: plus the exchange owner (``DOUBLECHECKER_ANALYSIS_SHARDS=2``)
-SHARD_ARMS = ("1", "2", "4", "2a2")
-
-#: arm name -> (DOUBLECHECKER_SHARDS, DOUBLECHECKER_ANALYSIS_SHARDS)
-ARM_TOPOLOGY = {"1": ("1", "1"), "2": ("2", "1"),
-                "4": ("4", "1"), "2a2": ("2", "2")}
+#: both mesh topologies (single log shard vs peer slicing)
+SHARD_ARMS = ("1", "2", "4")
 
 
 @pytest.fixture()
@@ -162,9 +138,7 @@ def _all_arms(monkeypatch, isolated_cache, produce):
     outputs = []
     for arm in SHARD_ARMS:
         isolated_cache(arm)
-        shards, analysis = ARM_TOPOLOGY[arm]
-        monkeypatch.setenv(SHARDS_ENV, shards)
-        monkeypatch.setenv(ANALYSIS_SHARDS_ENV, analysis)
+        monkeypatch.setenv(SHARDS_ENV, arm)
         outputs.append(produce())
     return outputs
 
@@ -172,7 +146,7 @@ def _all_arms(monkeypatch, isolated_cache, produce):
 def test_table2_bytes_identical_across_shard_counts(
     monkeypatch, isolated_cache
 ):
-    one, two, four, split = _all_arms(
+    one, two, four = _all_arms(
         monkeypatch,
         isolated_cache,
         lambda: table2.generate(
@@ -181,13 +155,12 @@ def test_table2_bytes_identical_across_shard_counts(
     )
     assert two == one
     assert four == one
-    assert split == one
 
 
 def test_table3_bytes_identical_across_shard_counts(
     monkeypatch, isolated_cache
 ):
-    one, two, four, split = _all_arms(
+    one, two, four = _all_arms(
         monkeypatch,
         isolated_cache,
         lambda: table3.generate(
@@ -196,7 +169,6 @@ def test_table3_bytes_identical_across_shard_counts(
     )
     assert two == one
     assert four == one
-    assert split == one
 
 
 def test_figure7_bytes_identical_across_shard_counts(
@@ -214,7 +186,6 @@ def test_figure7_bytes_identical_across_shard_counts(
             row.measured = {}
         return result.render()
 
-    one, two, four, split = _all_arms(monkeypatch, isolated_cache, produce)
+    one, two, four = _all_arms(monkeypatch, isolated_cache, produce)
     assert two == one
     assert four == one
-    assert split == one

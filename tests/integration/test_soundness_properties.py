@@ -13,6 +13,15 @@ The oracle is deliberately independent of the production code paths:
 it records the raw access trace and applies Figure 5's rules offline
 over the *entire* execution in true order, then runs an off-the-shelf
 SCC computation (networkx) over cross-thread plus program-order edges.
+
+The oracle has two design points, and each checker is refereed by the
+one it implements.  The trace includes the executor's ``<monitor>`` /
+``<thread>`` synchronization pseudo-accesses, so the full oracle
+(``sync_edges=True``) orders transactions through release→acquire and
+fork/join edges: the referee for DoubleChecker, Velodrome and the vc
+backend's ``sync_edges`` arm.  With ``sync_edges=False`` it drops those
+pseudo-accesses and sees data-conflict edges only: the referee for the
+vc backend's default arm and the offline checker.
 """
 
 from hypothesis import example, given, settings
@@ -22,6 +31,7 @@ import networkx as nx
 from repro.core.icd import ICD
 from repro.core.pcd import PCD
 from repro.core.reports import ViolationSummary
+from repro.offline.checker import OfflineChecker
 from repro.runtime.events import AccessKind
 from repro.runtime.executor import Executor
 from repro.runtime.listeners import ExecutionListener
@@ -29,6 +39,7 @@ from repro.runtime.ops import Acquire, Compute, Invoke, Read, Release, Write
 from repro.runtime.program import Program
 from repro.runtime.scheduler import RandomScheduler
 from repro.spec.specification import AtomicitySpecification
+from repro.trace.recorder import record_execution
 from repro.vc.checker import VcChecker
 from repro.velodrome.checker import VelodromeChecker
 
@@ -96,7 +107,7 @@ def materialize(method_specs, thread_scripts):
 # the independent oracle
 # ----------------------------------------------------------------------
 class TraceRecorder(ExecutionListener):
-    """Records (tx, address, kind) in execution order.
+    """Records (tx, address, kind, is_sync) in execution order.
 
     Registered *after* ICD in the pipeline so it can read ICD's
     transaction assignment for each access (the same assignment PCD
@@ -110,16 +121,23 @@ class TraceRecorder(ExecutionListener):
     def on_access(self, event):
         tx = self.icd.tx_manager.current_or_latest(event.thread_name)
         if tx is not None:
-            self.trace.append((tx, event.address, event.kind))
+            self.trace.append(
+                (tx, event.address, event.kind, event.is_sync)
+            )
 
 
-def oracle_cyclic_sccs(trace):
-    """Whole-trace Figure 5 + program order, SCCs via networkx."""
+def oracle_cyclic_sccs(trace, *, sync_edges):
+    """Whole-trace Figure 5 + program order, SCCs via networkx.
+
+    ``sync_edges=False`` drops synchronization pseudo-accesses, so only
+    data conflicts (plus program order) create edges."""
     graph = nx.DiGraph()
     last_write = {}
     last_reads = {}
     chains = {}
-    for tx, address, kind in trace:
+    for tx, address, kind, is_sync in trace:
+        if is_sync and not sync_edges:
+            continue
         graph.add_node(tx.tx_id)
         prev = chains.get(tx.thread_name)
         if prev is not None and prev is not tx:
@@ -140,8 +158,13 @@ def oracle_cyclic_sccs(trace):
     return [set(scc) for scc in nx.strongly_connected_components(graph) if len(scc) > 1]
 
 
+def scheduler(seed):
+    return RandomScheduler(seed=seed, switch_prob=0.7)
+
+
 def run_all(method_specs, thread_scripts, seed):
-    """Run DC single-run + oracle on one schedule; Velodrome on the same."""
+    """Run DC single-run on one schedule, recording the oracle's trace;
+    Velodrome on the same schedule."""
     program = materialize(method_specs, thread_scripts)
     spec = AtomicitySpecification.initial(program)
 
@@ -155,25 +178,32 @@ def run_all(method_specs, thread_scripts, seed):
 
     icd = ICD(spec, on_scc=on_scc, gc_interval=None)
     recorder = TraceRecorder(icd)
-    Executor(
-        program, RandomScheduler(seed=seed, switch_prob=0.7), [icd, recorder]
-    ).run()
-    oracle = oracle_cyclic_sccs(recorder.trace)
+    Executor(program, scheduler(seed), [icd, recorder]).run()
 
     program_v = materialize(method_specs, thread_scripts)
     velodrome = VelodromeChecker(
         AtomicitySpecification.initial(program_v), gc_interval=None
-    ).run(program_v, RandomScheduler(seed=seed, switch_prob=0.7))
+    ).run(program_v, scheduler(seed))
 
-    return violations, components, oracle, velodrome, pcd
+    return violations, components, recorder.trace, velodrome, pcd
+
+
+def run_vc(method_specs, thread_scripts, seed, sync_edges):
+    program = materialize(method_specs, thread_scripts)
+    checker = VcChecker(
+        AtomicitySpecification.initial(program),
+        sync_edges=sync_edges,
+        gc_interval=None,
+    )
+    return checker.run(program, scheduler(seed))
 
 
 @given(program_strategy)
 @settings(max_examples=60, deadline=None)
 def test_icd_sccs_are_supersets_of_precise_cycles(case):
     method_specs, thread_scripts, seed = case
-    _, components, oracle, _, _ = run_all(method_specs, thread_scripts, seed)
-    for cycle in oracle:
+    _, components, trace, _, _ = run_all(method_specs, thread_scripts, seed)
+    for cycle in oracle_cyclic_sccs(trace, sync_edges=True):
         assert any(
             cycle <= component for component in components
         ), f"precise cycle {cycle} not covered by any ICD SCC {components}"
@@ -203,8 +233,10 @@ _MERGE_REGRESSION_2 = (
 @settings(max_examples=60, deadline=None)
 def test_single_run_sound_and_precise_vs_oracle(case):
     method_specs, thread_scripts, seed = case
-    violations, _, oracle, _, _ = run_all(method_specs, thread_scripts, seed)
-    assert bool(violations) == bool(oracle)
+    violations, _, trace, _, _ = run_all(method_specs, thread_scripts, seed)
+    assert bool(violations) == bool(
+        oracle_cyclic_sccs(trace, sync_edges=True)
+    )
 
 
 @given(program_strategy)
@@ -225,9 +257,10 @@ def test_single_run_agrees_with_velodrome(case):
     transaction (same transaction numbering).
     """
     method_specs, thread_scripts, seed = case
-    violations, _, oracle, velodrome, _ = run_all(
+    violations, _, trace, velodrome, _ = run_all(
         method_specs, thread_scripts, seed
     )
+    oracle = oracle_cyclic_sccs(trace, sync_edges=True)
     assert bool(violations) == bool(oracle)
     assert bool(velodrome.violations) == bool(oracle)
 
@@ -244,34 +277,67 @@ def test_single_run_agrees_with_velodrome(case):
         ), (scc, [r.cycle_tx_ids for r in violations.records])
 
 
+#: a cycle that closes only through a monitor release→acquire edge:
+#: DC, Velodrome, vc+sync and the full oracle report it; default vc
+#: and the data-only oracle do not
+_SYNC_ONLY_CYCLE = (
+    [[(2, 0, 1), (0, 0, 0), (0, 0, 0), (0, 0, 0)], [(0, 0, 0)],
+     [(0, 0, 0), (2, 0, 0)]],
+    [[2], [0], [0, 0]],
+    0,
+)
+
+
+def test_sync_only_cycle_separates_the_two_oracles():
+    trace = run_all(*_SYNC_ONLY_CYCLE)[2]
+    assert oracle_cyclic_sccs(trace, sync_edges=True)
+    assert not oracle_cyclic_sccs(trace, sync_edges=False)
+
+
 @given(program_strategy)
+@example(_SYNC_ONLY_CYCLE)
 @settings(max_examples=40, deadline=None)
 def test_vector_clock_agrees_with_oracle_and_velodrome(case):
-    """The vc backend's two arms each track an existing referee: the
-    default arm shares the oracle's design point (data-conflict edges
-    only, no synchronization edges), and the ``sync_edges`` arm builds
-    Velodrome's exact graph — so each must reproduce its referee's
-    boolean verdict, and the sync arm must perform exactly Velodrome's
-    per-edge cycle checks."""
+    """The vc backend's two arms each track their own referee: the
+    default arm is data-conflict-only, so it must reproduce the
+    data-only oracle's verdict; the ``sync_edges`` arm builds
+    Velodrome's exact graph, so it must reproduce the full oracle's
+    and Velodrome's verdicts and perform exactly Velodrome's per-edge
+    cycle checks."""
     method_specs, thread_scripts, seed = case
-    _, _, oracle, velodrome, _ = run_all(method_specs, thread_scripts, seed)
+    _, _, trace, velodrome, _ = run_all(method_specs, thread_scripts, seed)
 
-    def run_vc(sync_edges):
-        program = materialize(method_specs, thread_scripts)
-        checker = VcChecker(
-            AtomicitySpecification.initial(program),
-            sync_edges=sync_edges,
-            gc_interval=None,
-        )
-        return checker.run(
-            program, RandomScheduler(seed=seed, switch_prob=0.7)
-        )
-
-    vc = run_vc(False)
-    vc_sync = run_vc(True)
-    assert bool(vc.violations) == bool(oracle)
+    vc = run_vc(method_specs, thread_scripts, seed, sync_edges=False)
+    vc_sync = run_vc(method_specs, thread_scripts, seed, sync_edges=True)
+    assert bool(vc.violations) == bool(
+        oracle_cyclic_sccs(trace, sync_edges=False)
+    )
+    assert bool(vc_sync.violations) == bool(
+        oracle_cyclic_sccs(trace, sync_edges=True)
+    )
     assert bool(vc_sync.violations) == bool(velodrome.violations)
     assert vc_sync.stats.cycle_checks == velodrome.stats.cycle_checks
+
+
+@given(program_strategy)
+@example(_SYNC_ONLY_CYCLE)
+@settings(max_examples=40, deadline=None)
+def test_offline_agrees_with_vector_clock(case):
+    """The offline checker and default vc share one design point (data
+    conflicts only), so on the same schedule both must reproduce the
+    data-only oracle's verdict."""
+    method_specs, thread_scripts, seed = case
+    _, _, trace, _, _ = run_all(method_specs, thread_scripts, seed)
+
+    program = materialize(method_specs, thread_scripts)
+    offline = OfflineChecker(AtomicitySpecification.initial(program)).check(
+        record_execution(program, scheduler(seed))
+    )
+    vc = run_vc(method_specs, thread_scripts, seed, sync_edges=False)
+    assert bool(offline.violations) == bool(vc.violations)
+    assert bool(offline.violations) == bool(
+        oracle_cyclic_sccs(trace, sync_edges=False)
+    )
 
 
 @given(program_strategy)
