@@ -1,27 +1,23 @@
-"""Access-barrier benchmark: batch/fused fast paths vs reference.
+"""Access-barrier benchmark: the batch fast path vs reference.
 
 Times the hubstress/ICD *single-run* configuration — the paper's main
 mode, where every instrumented access pays the Octet barrier **and**
-read/write logging — in three arms:
+read/write logging — in two arms:
 
 ``batch``
-    the columnar batch executor feeding the fused per-access barrier
+    the columnar batch executor feeding ICD's fused columnar barrier
     with pre-lowered, pre-interned column values (the default
     configuration);
-``fused``
-    the reference per-op interpreter with the fused barrier
-    (``DOUBLECHECKER_BATCH_EXECUTOR=0``) — the configuration the
-    previous committed baseline measured;
 ``reference``
-    both optimizations off (additionally
-    ``DOUBLECHECKER_BARRIER_FASTPATH=0``): the classify-everything
-    reference pipeline.
+    both optimizations off (``DOUBLECHECKER_BATCH_EXECUTOR=0`` and
+    ``DOUBLECHECKER_BARRIER_FASTPATH=0``): the per-op interpreter and
+    the classify-everything reference pipeline.
 
 Reports instrumented steps/sec plus the fast-path hit rate (the
 fraction of barriers resolved without the slow path — the quantity the
-paper's entire efficiency argument rests on) and asserts that all arms
-produce identical deterministic counters: both fast paths must be pure
-optimizations.
+paper's entire efficiency argument rests on) and asserts that both arms
+produce identical deterministic counters: the fast path must be a pure
+optimization.
 
 Records ``results/BENCH_access.json`` so future work has a committed
 baseline (``benchmarks/check_bench_regression.py`` compares fresh runs
@@ -54,23 +50,17 @@ RESULTS_PATH = os.path.join(
 #: wall-clock repetitions per configuration (minimum is reported)
 REPS = 3
 
-#: hubstress/ICD single-run steps/sec measured at the commit *before*
-#: the fused barrier landed, on the machine that produced the committed
-#: BENCH_access.json.  Machine-dependent — regenerate it together with
-#: the baseline on new hardware (run this file at the pre-change commit,
-#: or scale by the machine ratio of any other committed BENCH metric).
-PRECHANGE_STEPS_PER_SECOND = 11009
-
-#: the acceptance bar for the fused pipeline against that number
-SPEEDUP_TARGET = 1.4
-
-#: hubstress/ICD single-run steps/sec of the fused arm at the commit
-#: before the batch executor landed (same machine caveat as above)
+#: hubstress/ICD single-run steps/sec of the per-op interpreter with
+#: the fused barrier at the commit before the batch executor landed, on
+#: the machine that produced the committed BENCH_access.json.
+#: Machine-dependent — regenerate it together with the baseline on new
+#: hardware (run this file at the pre-change commit, or scale by the
+#: machine ratio of any other committed BENCH metric).
 BATCH_PRECHANGE_STEPS_PER_SECOND = 25569
 
-#: the acceptance bar for the batch executor against the fused arm's
-#: pre-change number (kept below the ~3.9x measured headline so the
-#: assertion survives machine noise)
+#: the acceptance bar for the batch executor against that number (kept
+#: below the ~3.9x measured headline so the assertion survives machine
+#: noise)
 BATCH_SPEEDUP_TARGET = 3.0
 
 
@@ -136,17 +126,11 @@ def _single_run(fastpath, batch, iterations=None, reps=None):
 
 def _measure(iterations=None, reps=None):
     batch = _single_run(True, True, iterations, reps)
-    fused = _single_run(True, False, iterations, reps)
     reference = _single_run(False, False, iterations, reps)
     return {
         "hubstress_single": {
             "batch": batch,
-            "fused": fused,
             "reference": reference,
-            "prechange": {"steps_per_second": PRECHANGE_STEPS_PER_SECOND},
-            "speedup_vs_prechange": round(
-                fused["steps_per_second"] / PRECHANGE_STEPS_PER_SECOND, 2
-            ),
             "batch_prechange": {
                 "steps_per_second": BATCH_PRECHANGE_STEPS_PER_SECOND
             },
@@ -172,36 +156,29 @@ def write_report(out=None, iterations=None, reps=None):
 
 
 def test_access_barrier(tmp_path):
-    """Regenerates the measurement and checks the fast paths' contract.
+    """Regenerates the measurement and checks the fast path's contract.
 
-    Identity first: the batch and fused arms must reproduce the
-    reference arm's deterministic counters exactly — same barriers,
-    same fast-path classification counts, same IDG edges, logs, SCCs,
-    and violations.  Then performance: a high fast-path hit rate
-    (hubstress is dominated by owner re-accesses, like the paper's
-    benchmarks), the fused arm beating the committed pre-fused-barrier
-    throughput, and the batch arm beating the committed pre-batch
-    (fused) throughput by their acceptance bars.
+    Identity first: the batch arm must reproduce the reference arm's
+    deterministic counters exactly — same barriers, same fast-path
+    classification counts, same IDG edges, logs, SCCs, and violations.
+    Then performance: a high fast-path hit rate (hubstress is dominated
+    by owner re-accesses, like the paper's benchmarks) and the batch
+    arm beating the committed pre-batch throughput by its acceptance
+    bar.
     """
     report = write_report(out=str(tmp_path / "BENCH_access.json"))
     row = report["workloads"]["hubstress_single"]
-    batch, fused, reference = row["batch"], row["fused"], row["reference"]
+    batch, reference = row["batch"], row["reference"]
 
     for key in (
         "barriers", "fast_path", "idg_edges", "log_entries", "sccs",
         "violations",
     ):
         assert batch[key] == reference[key], key
-        assert fused[key] == reference[key], key
     assert batch["fast_path_fused"] > 0
-    assert fused["fast_path_fused"] > 0
     assert reference["fast_path_fused"] == 0
 
-    assert fused["fast_path_rate"] >= 0.85
-    assert (
-        fused["steps_per_second"]
-        >= SPEEDUP_TARGET * PRECHANGE_STEPS_PER_SECOND
-    )
+    assert batch["fast_path_rate"] >= 0.85
     assert (
         batch["steps_per_second"]
         >= BATCH_SPEEDUP_TARGET * BATCH_PRECHANGE_STEPS_PER_SECOND

@@ -260,158 +260,30 @@ class ICD(ExecutionListener, OctetListener):
             self._req_tx = None
             self._req_event = None
 
-    def access_barrier(self) -> Callable[[AccessEvent], None]:
-        """Build the fused per-access barrier (ICD + Octet in one call).
+    def access_barrier_batch(self) -> Optional[Callable[..., None]]:
+        """Build the fused columnar barrier (ICD + Octet in one call).
 
-        The returned closure is what the executor's monomorphic
-        single-listener dispatch invokes per access.  Its fast path —
+        The batch executor calls the returned closure per access with
+        its pre-interned column values — object, field name, ``(oid,
+        field)`` address, canonical site, site string.  Its fast path —
         the access hits an object whose Octet state is already
         compatible (WrEx/RdEx owned by the accessing thread, or RdSh
         read with a current ``rdShCnt``) — costs one dict probe and one
         branch chain: no :meth:`OctetRuntime.observe` call, no
         ``Classified``/:class:`TransitionRecord` allocation, no listener
-        fan-out (same-state transitions never fire Figure 4 procedures).
-        Everything else falls back to the reference :meth:`on_access`
-        slow path, so outputs are byte-identical by construction; the
-        identity tests additionally pin the fused pipeline against runs
-        with ``DOUBLECHECKER_BARRIER_FASTPATH=0``.
+        fan-out (same-state transitions never fire Figure 4 procedures),
+        no allocation at all unless the access is logged.  Only when
+        the access leaves the fast path (first access to an object, any
+        Octet state transition) is an :class:`AccessEvent` materialized
+        for the reference :meth:`on_access` slow path, which keeps
+        outputs byte-identical by construction; the identity tests
+        additionally pin the fused pipeline against runs with
+        ``DOUBLECHECKER_BARRIER_FASTPATH=0``.
 
-        Configurations whose per-access work the fused path does not
-        replicate (unary site tracking, object-granularity arrays, or
-        the fast path disabled) simply get ``self.on_access``.
-        """
-        if (
-            not self.octet.fastpath
-            or self.track_unary_sites
-            or self.array_granularity_object
-        ):
-            return self.on_access
-
-        octet = self.octet
-        states = octet._states
-        thread_rdsh = octet._thread_rdsh
-        tx_manager = self.tx_manager
-        tx_for_fields = tx_manager.transaction_for_fields
-        # regular-transaction demarcation and the elision window probe
-        # are inlined, mirroring the columnar barrier (the bound dicts
-        # are created once in their owners' __init__ and only mutated
-        # in place); the slow calls remain for unary / first-access
-        tx_current = tx_manager._current
-        tx_stats = tx_manager.stats
-        stats = self.stats
-        elision = self._elision
-        el_last = elision._last_by_thread
-        el_ts = elision._thread_ts
-        el_stats = elision.stats
-        addr_intern = self._addr_intern
-        site_intern = self._site_intern
-        instrument_arrays = self.instrument_arrays
-        logging_enabled = self.logging_enabled
-        elide_duplicates = self.elide_duplicates
-        slow_path = self.on_access
-        check_budget = self.memory_budget is not None
-
-        def fused_access(
-            event: AccessEvent,
-            *,
-            _READ: AccessKind = AccessKind.READ,
-            _WRITE: AccessKind = AccessKind.WRITE,
-            _WR_EX: StateKind = StateKind.WR_EX,
-            _RD_EX: StateKind = StateKind.RD_EX,
-            _RD_SH: StateKind = StateKind.RD_SH,
-        ) -> None:
-            if event.is_array and not instrument_arrays:
-                stats.array_accesses_skipped += 1
-                return
-            oid = event.obj.oid
-            thread = event.thread_name
-            state = states.get(oid)
-            if state is not None:
-                kind = state.kind
-                if (
-                    state.owner == thread
-                    and (
-                        kind is _WR_EX
-                        or (kind is _RD_EX and event.kind is _READ)
-                    )
-                ) or (
-                    kind is _RD_SH
-                    and event.kind is _READ
-                    and thread_rdsh.get(thread, 0) >= state.counter
-                ):
-                    tx = tx_current.get(thread)
-                    if tx is not None and not tx.is_unary:
-                        if not tx.monitored:
-                            tx_stats.skipped_accesses += 1
-                            return
-                        tx_stats.regular_accesses += 1
-                    else:
-                        tx = tx_for_fields(thread, event.site)
-                        if tx is None:
-                            return  # not instrumented in this configuration
-                    stats.instrumented_accesses += 1
-                    octet._barriers_pending += 1
-                    octet._fastpath_pending += 1
-                    octet._fused_pending += 1
-                    if logging_enabled:
-                        log = tx.log
-                        if log is None:
-                            log = tx.log = ReadWriteLog()
-                        address = (oid, event.fieldname)
-                        address = addr_intern.setdefault(address, address)
-                        if elide_duplicates:
-                            per_thread = el_last.get(thread)
-                            if per_thread is None:
-                                per_thread = el_last[thread] = {}
-                            last = per_thread.get(address)
-                            ts = el_ts.get(thread, 0)
-                            if (
-                                last is not None
-                                and last[0] == ts
-                                and (
-                                    last[1] is event.kind
-                                    or last[1] is _WRITE
-                                )
-                            ):
-                                el_stats.elided += 1
-                                return
-                            per_thread[address] = (ts, event.kind)
-                            el_stats.logged += 1
-                        site = event.site
-                        site_str = site_intern.get(site)
-                        if site_str is None:
-                            site_str = site_intern[site] = str(site)
-                        log.entries.append(
-                            AccessEntry(
-                                event.kind, oid, event.fieldname,
-                                event.seq, site_str, address,
-                            )
-                        )
-                        stats.log_entries += 1
-                        self._live_log_entries += 1
-                        if check_budget:
-                            self._check_budget()
-                    return
-            slow_path(event)
-
-        return fused_access
-
-    def access_barrier_batch(self) -> Optional[Callable[..., None]]:
-        """Build the columnar barrier for the batch executor.
-
-        Same fast-path predicate and bookkeeping as the closure from
-        :meth:`access_barrier`, but consuming the batch loop's
-        pre-interned column values — object, field name, ``(oid,
-        field)`` address, canonical site, site string — directly, so a
-        compatible-state access performs no allocation at all.  Only
-        when the access leaves the fast path (first access to an
-        object, any Octet state transition) is an
-        :class:`AccessEvent` materialized for the reference
-        :meth:`on_access` slow path, which keeps outputs byte-identical
-        by construction.  Returns ``None`` for configurations the fused
-        path does not serve (fast path disabled, unary site tracking,
-        object-granularity arrays); the executor then routes every
-        access through the ordinary event path.
+        Returns ``None`` for configurations whose per-access work the
+        fused path does not replicate (fast path disabled, unary site
+        tracking, object-granularity arrays); the executor then routes
+        every access through :meth:`on_access`.
         """
         if (
             not self.octet.fastpath
@@ -426,22 +298,16 @@ class ICD(ExecutionListener, OctetListener):
         tx_manager = self.tx_manager
         tx_for_fields = tx_manager.transaction_for_fields
         # the regular-transaction fast path of transaction_for_fields
-        # and the elision window probe are inlined below (both dicts
-        # are created once in their owners' __init__ and only mutated
-        # in place, so binding them here is safe); the slow calls
-        # remain for the unary / first-access cases
+        # is inlined below (the dict is created once in the manager's
+        # __init__ and only mutated in place, so binding it here is
+        # safe); the slow call remains for the unary / first-access
+        # cases
         tx_current = tx_manager._current
         tx_stats = tx_manager.stats
         stats = self.stats
-        elision = self._elision
-        el_last = elision._last_by_thread
-        el_ts = elision._thread_ts
-        el_stats = elision.stats
         instrument_arrays = self.instrument_arrays
-        logging_enabled = self.logging_enabled
-        elide_duplicates = self.elide_duplicates
+        log_tail = self._logging_tail() if self.logging_enabled else None
         slow_path = self.on_access
-        check_budget = self.memory_budget is not None
 
         def fused_batch(
             seq: int,
@@ -455,7 +321,6 @@ class ICD(ExecutionListener, OctetListener):
             is_array: bool,
             *,
             _READ: AccessKind = AccessKind.READ,
-            _WRITE: AccessKind = AccessKind.WRITE,
             _WR_EX: StateKind = StateKind.WR_EX,
             _RD_EX: StateKind = StateKind.RD_EX,
             _RD_SH: StateKind = StateKind.RD_SH,
@@ -492,38 +357,9 @@ class ICD(ExecutionListener, OctetListener):
                     octet._barriers_pending += 1
                     octet._fastpath_pending += 1
                     octet._fused_pending += 1
-                    if logging_enabled:
-                        log = tx.log
-                        if log is None:
-                            log = tx.log = ReadWriteLog()
-                        # address and site_str are already canonical in
-                        # the executor's column tables; ICD's own intern
-                        # tables (fed by the slow path) only yield
-                        # value-equal duplicates, so no folding needed
-                        if elide_duplicates:
-                            per_thread = el_last.get(thread)
-                            if per_thread is None:
-                                per_thread = el_last[thread] = {}
-                            last = per_thread.get(address)
-                            ts = el_ts.get(thread, 0)
-                            if (
-                                last is not None
-                                and last[0] == ts
-                                and (last[1] is kind or last[1] is _WRITE)
-                            ):
-                                el_stats.elided += 1
-                                return
-                            per_thread[address] = (ts, kind)
-                            el_stats.logged += 1
-                        log.entries.append(
-                            AccessEntry(
-                                kind, oid, fieldname, seq, site_str, address,
-                            )
-                        )
-                        stats.log_entries += 1
-                        self._live_log_entries += 1
-                        if check_budget:
-                            self._check_budget()
+                    if log_tail is not None:
+                        log_tail(tx, seq, thread, oid, fieldname, kind,
+                                 site, address, site_str)
                     return
             slow_path(
                 AccessEvent(
@@ -532,6 +368,70 @@ class ICD(ExecutionListener, OctetListener):
             )
 
         return fused_batch
+
+    def _logging_tail(self) -> Callable[..., None]:
+        """Build the fused barrier's logging step for a fast-path hit.
+
+        The returned closure takes ``(tx, seq, thread, oid, fieldname,
+        kind, site, address, site_str)`` and does what
+        :meth:`_log_access` does for the same access: lazy log
+        creation, the elision window probe (inlined — its dicts are
+        created once in the filter's ``__init__`` and only mutated in
+        place), the entry append, and the budget check.  This is the
+        one seam the sharded analyzer overrides.
+        """
+        stats = self.stats
+        elision = self._elision
+        el_last = elision._last_by_thread
+        el_ts = elision._thread_ts
+        el_stats = elision.stats
+        elide_duplicates = self.elide_duplicates
+        check_budget = self.memory_budget is not None
+
+        def log_tail(
+            tx: Transaction,
+            seq: int,
+            thread: str,
+            oid: int,
+            fieldname: str,
+            kind: AccessKind,
+            site: Site,
+            address: Tuple[int, str],
+            site_str: str,
+            *,
+            _WRITE: AccessKind = AccessKind.WRITE,
+        ) -> None:
+            log = tx.log
+            if log is None:
+                log = tx.log = ReadWriteLog()
+            # address and site_str are already canonical in the
+            # executor's column tables; ICD's own intern tables (fed by
+            # the slow path) only yield value-equal duplicates, so no
+            # folding needed
+            if elide_duplicates:
+                per_thread = el_last.get(thread)
+                if per_thread is None:
+                    per_thread = el_last[thread] = {}
+                last = per_thread.get(address)
+                ts = el_ts.get(thread, 0)
+                if (
+                    last is not None
+                    and last[0] == ts
+                    and (last[1] is kind or last[1] is _WRITE)
+                ):
+                    el_stats.elided += 1
+                    return
+                per_thread[address] = (ts, kind)
+                el_stats.logged += 1
+            log.entries.append(
+                AccessEntry(kind, oid, fieldname, seq, site_str, address)
+            )
+            stats.log_entries += 1
+            self._live_log_entries += 1
+            if check_budget:
+                self._check_budget()
+
+        return log_tail
 
     def on_execution_end(self) -> None:
         self.tx_manager.finish_all()

@@ -24,9 +24,10 @@ from repro.octet.states import OctetState, StateKind, rd_ex_int, wr_ex_int
 from repro.octet.transitions import Classified, TransitionKind, classify
 from repro.runtime.events import AccessEvent, AccessKind
 
-#: escape hatch disabling the inline same-state fast path (and ICD's
-#: fused barrier): the identity tests run with it set to ``0`` to pin
-#: the optimized pipeline against the reference classify-everything one
+#: escape hatch disabling the inline same-state fast path (and the
+#: checkers' columnar barriers): the identity tests run with it set to
+#: ``0`` to pin the optimized pipeline against the reference
+#: classify-everything one
 FASTPATH_ENV = "DOUBLECHECKER_BARRIER_FASTPATH"
 
 
@@ -43,9 +44,12 @@ class OctetStats:
 
     barriers: int = 0
     fast_path: int = 0
-    #: subset of ``fast_path`` resolved inline by ICD's fused barrier
-    #: (no :meth:`OctetRuntime.observe` call at all); 0 when the fast
-    #: path is disabled via ``DOUBLECHECKER_BARRIER_FASTPATH=0``
+    #: subset of ``fast_path`` resolved inline by a checker's columnar
+    #: barrier (``ICD.access_barrier_batch`` — no
+    #: :meth:`OctetRuntime.observe` call at all); accesses dispatched as
+    #: events (sync, generator frames, the reference interpreter) hit
+    #: in ``observe`` and never count here.  0 when the fast path is
+    #: disabled via ``DOUBLECHECKER_BARRIER_FASTPATH=0``
     fast_path_fused: int = 0
     initial: int = 0
     upgrading_wr_ex: int = 0

@@ -90,9 +90,9 @@ def is_same_state(
     ``TransitionKind.SAME_STATE``: the thread owns a WrEx object (read
     or write), the thread owns a RdEx object and reads, or the object
     is RdSh, the access is a read, and the thread's ``rdShCnt`` is
-    current.  ``OctetRuntime.observe`` and ICD's fused access barrier
-    inline this check (duplicated for speed); the property tests pin
-    all three against :func:`classify`.
+    current.  ``OctetRuntime.observe`` and ICD's columnar barrier
+    (``ICD.access_barrier_batch``) inline this check (duplicated for
+    speed); the property tests pin all three against :func:`classify`.
     """
     if state is None:
         return False

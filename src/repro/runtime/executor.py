@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, ProgramError, StepLimitExceeded
 from repro.obs.registry import MODE_FULL, recorder as obs_recorder
@@ -229,9 +229,9 @@ class Executor:
         self.scheduler.reset()
         # rebind the access fast path in case listeners were attached
         # to the pipeline after construction; with a single listener the
-        # pipeline hands back that listener's fused access barrier
-        # (ICD + Octet as one call), so ``_emit_access`` dispatches the
-        # whole instrumentation stack through one callable
+        # pipeline hands back that listener's bound ``on_access``, so
+        # ``_emit_access`` dispatches the whole instrumentation stack
+        # through one callable
         self._on_access = self.pipeline.on_access
         choose = self.scheduler.choose
         if tracked:
@@ -239,7 +239,7 @@ class Executor:
             # loop below stays byte-identical to the pre-telemetry one
             choose = self._tracking_choose(choose)
             if self._obs.mode == MODE_FULL and self.pipeline.listeners:
-                self._time_listener_dispatch()
+                self._on_access = self._timed_dispatch(self._on_access)
         started = time.perf_counter()
         for spec in self.program.threads:
             self._spawn(spec.name, spec.method, spec.args)
@@ -287,18 +287,19 @@ class Executor:
         (allocating an event per access, exactly like the reference
         arm), then a no-op when nobody is listening.  All three are
         observationally identical because events are value types built
-        from the same columns.
+        from the same columns.  Built from the untimed dispatch: full
+        telemetry wraps the returned emitter instead, so it times the
+        barrier production runs.
         """
-        plain_dispatch = self._on_access is self.pipeline.on_access
         listeners = self.pipeline.listeners
-        if plain_dispatch and not listeners:
+        if not listeners:
 
             def discard(seq, thread_name, obj, fieldname, kind, site,
                         address, site_str, is_array):
                 return None
 
             return discard
-        if plain_dispatch and len(listeners) == 1:
+        if len(listeners) == 1:
             factory = getattr(listeners[0], "access_barrier_batch", None)
             if factory is not None:
                 barrier = factory()
@@ -345,12 +346,13 @@ class Executor:
         """
         self.scheduler.reset()
         self._on_access = self.pipeline.on_access
+        emit = self._batch_emitter()
         choose = self.scheduler.choose
         if tracked:
             choose = self._tracking_choose(choose)
             if self._obs.mode == MODE_FULL and self.pipeline.listeners:
-                self._time_listener_dispatch()
-        emit = self._batch_emitter()
+                self._on_access = self._timed_dispatch(self._on_access)
+                emit = self._timed_dispatch(emit)
         started = time.perf_counter()
         for spec in self.program.threads:
             self._spawn(spec.name, spec.method, spec.args)
@@ -561,19 +563,20 @@ class Executor:
                 args={"thread": self._last_chosen},
             )
 
-    def _time_listener_dispatch(self) -> None:
-        """Measure time spent inside the listener barrier (full mode)."""
-        inner = self._on_access
+    def _timed_dispatch(self, inner: Callable[..., None]) -> Callable[..., None]:
+        """Wrap an access sink (the event dispatch or the batch
+        emitter) to measure time spent inside the listener barrier
+        (full mode)."""
         accumulator = self._dispatch_time
         perf = time.perf_counter
 
-        def timed(event: AccessEvent) -> None:
+        def timed(*args: Any) -> None:
             start = perf()
-            inner(event)
+            inner(*args)
             accumulator[0] += perf() - start
             accumulator[1] += 1
 
-        self._on_access = timed
+        return timed
 
     # ------------------------------------------------------------------
     # runnable-set bookkeeping

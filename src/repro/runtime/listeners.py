@@ -32,17 +32,6 @@ class ExecutionListener:
     def on_access(self, event: AccessEvent) -> None:
         """Barrier: invoked immediately before the access takes effect."""
 
-    def access_barrier(self) -> Callable[[AccessEvent], None]:
-        """The callable the executor dispatches per access.
-
-        Defaults to the listener's bound :meth:`on_access`.  A listener
-        that fuses several per-access steps into one specialized
-        closure (ICD fuses the Octet state check with its logging)
-        overrides this to return that closure; the pipeline calls it
-        whenever it rebinds its dispatch.
-        """
-        return self.on_access
-
     def access_barrier_batch(self) -> Optional[Callable[..., None]]:
         """A columnar barrier for the batch executor, or ``None``.
 
@@ -51,11 +40,13 @@ class ExecutionListener:
         listener may return a callable of signature ``(seq,
         thread_name, obj, fieldname, kind, site, address, site_str,
         is_array)`` that consumes those directly, skipping the
-        per-access :class:`AccessEvent` allocation entirely.  Returning
-        ``None`` (the default) makes the executor wrap the columns into
-        events and dispatch :meth:`access_barrier` as usual, so the
-        batch barrier is purely an optimization seam: outputs must be
-        byte-identical either way.
+        per-access :class:`AccessEvent` allocation entirely.  This is
+        the one place a checker fuses its fast path (ICD: the Octet
+        same-state check plus logging).  Returning ``None`` (the
+        default) makes the executor wrap the columns into events and
+        dispatch :meth:`on_access` as usual, so the batch barrier is
+        purely an optimization seam: outputs must be byte-identical
+        either way.
         """
         return None
 
@@ -86,12 +77,11 @@ class ListenerPipeline(ExecutionListener):
 
     ``on_access`` is the hot path — it fires once per dynamic access —
     so the pipeline pre-binds it per instance: with zero listeners it
-    is a no-op, with exactly one listener it is that listener's *fused*
-    access barrier (:meth:`ExecutionListener.access_barrier` — no loop,
-    no indirection, and for ICD no two-stage Octet+logging dispatch),
-    and only with two or more does it fan out over each listener's
-    barrier.  :meth:`add` rebinds, so the fast path stays correct if
-    listeners are attached after construction.
+    is a no-op, with exactly one listener it is that listener's bound
+    :meth:`~ExecutionListener.on_access` (no loop, no indirection), and
+    only with two or more does the class-level fan-out run.  :meth:`add`
+    rebinds, so the fast path stays correct if listeners are attached
+    after construction.
     """
 
     def __init__(self, listeners: Iterable[ExecutionListener] = ()) -> None:
@@ -107,12 +97,10 @@ class ListenerPipeline(ExecutionListener):
         if not self.listeners:
             self.on_access = _discard_access  # type: ignore[method-assign]
         elif len(self.listeners) == 1:
-            self.on_access = self.listeners[0].access_barrier()  # type: ignore[method-assign]
+            self.on_access = self.listeners[0].on_access  # type: ignore[method-assign]
         else:
-            self._access_barriers = [
-                listener.access_barrier() for listener in self.listeners
-            ]
-            self.on_access = self._fan_out_access  # type: ignore[method-assign]
+            # fall back to the class-level fan-out below
+            self.__dict__.pop("on_access", None)
 
     def on_thread_start(self, thread_name: str) -> None:
         for listener in self.listeners:
@@ -130,15 +118,10 @@ class ListenerPipeline(ExecutionListener):
         for listener in self.listeners:
             listener.on_method_exit(thread_name, method, depth)
 
-    def on_access(self, event: AccessEvent) -> None:  # pragma: no cover
-        # overridden per instance by _rebind_access; kept for the
-        # ExecutionListener interface contract
+    def on_access(self, event: AccessEvent) -> None:
+        # shadowed per instance by _rebind_access below two listeners
         for listener in self.listeners:
             listener.on_access(event)
-
-    def _fan_out_access(self, event: AccessEvent) -> None:
-        for barrier in self._access_barriers:
-            barrier(event)
 
     def on_thread_blocked(self, thread_name: str) -> None:
         for listener in self.listeners:

@@ -46,7 +46,6 @@ from repro.obs.wire import (
     stalled_get,
     telemetry_capsule,
 )
-from repro.octet.states import StateKind
 from repro.runtime.events import AccessEvent, AccessKind, Site, intern_site
 from repro.runtime.view import RuntimeView
 from repro.shard.snapshot import (
@@ -328,11 +327,11 @@ class ShardChannel:
 class ShardedICD(ICD):
     """ICD with the logging tail rerouted to the log shards.
 
-    The fused barriers are line-for-line copies of the serial closures
-    (same fast-path predicate, same demarcation, same counters) whose
-    logging tail emits ``[desc, seq, tid]`` to the owning shard instead
-    of appending an entry; elision is *not* probed here — the owning
-    shard replays the filter bit-exactly from the broadcast bump
+    The serial fused barrier runs unchanged; only its logging tail
+    (:meth:`_logging_tail`) and the reference :meth:`_log_access` are
+    overridden, emitting ``[desc, seq, tid]`` to the owning shard
+    instead of appending an entry.  Elision is *not* probed here — the
+    owning shard replays the filter bit-exactly from the broadcast bump
     records.  Stub logs are created under exactly the serial creation
     conditions and accumulate only edge marks, which keeps every
     consumer of ``tx.log`` (GC, SCC capture, the PCD member filter,
@@ -345,29 +344,9 @@ class ShardedICD(ICD):
         super().__init__(spec, **kwargs)
 
     # ------------------------------------------------------------------
-    # barriers (serial copies; only the logging tail differs)
+    # logging tails (only the sink differs from the serial ICD)
     # ------------------------------------------------------------------
-    def access_barrier(self) -> Callable[[AccessEvent], None]:
-        if (
-            not self.octet.fastpath
-            or self.track_unary_sites
-            or self.array_granularity_object
-        ):
-            return self.on_access
-
-        octet = self.octet
-        states = octet._states
-        thread_rdsh = octet._thread_rdsh
-        tx_manager = self.tx_manager
-        tx_for_fields = tx_manager.transaction_for_fields
-        tx_current = tx_manager._current
-        tx_stats = tx_manager.stats
-        stats = self.stats
-        addr_intern = self._addr_intern
-        site_intern = self._site_intern
-        instrument_arrays = self.instrument_arrays
-        logging_enabled = self.logging_enabled
-        slow_path = self.on_access
+    def _logging_tail(self) -> Callable[..., None]:
         channel = self.channel
         descs = channel.descs
         register = channel.register_desc
@@ -375,166 +354,22 @@ class ShardedICD(ICD):
         bufs = channel.bufs
         flush = channel.flush
 
-        def fused_access(
-            event: AccessEvent,
-            *,
-            _READ: AccessKind = AccessKind.READ,
-            _WR_EX: StateKind = StateKind.WR_EX,
-            _RD_EX: StateKind = StateKind.RD_EX,
-            _RD_SH: StateKind = StateKind.RD_SH,
-        ) -> None:
-            if event.is_array and not instrument_arrays:
-                stats.array_accesses_skipped += 1
-                return
-            oid = event.obj.oid
-            thread = event.thread_name
-            state = states.get(oid)
-            if state is not None:
-                kind = state.kind
-                if (
-                    state.owner == thread
-                    and (
-                        kind is _WR_EX
-                        or (kind is _RD_EX and event.kind is _READ)
-                    )
-                ) or (
-                    kind is _RD_SH
-                    and event.kind is _READ
-                    and thread_rdsh.get(thread, 0) >= state.counter
-                ):
-                    tx = tx_current.get(thread)
-                    if tx is not None and not tx.is_unary:
-                        if not tx.monitored:
-                            tx_stats.skipped_accesses += 1
-                            return
-                        tx_stats.regular_accesses += 1
-                    else:
-                        tx = tx_for_fields(thread, event.site)
-                        if tx is None:
-                            return  # not instrumented in this configuration
-                    stats.instrumented_accesses += 1
-                    octet._barriers_pending += 1
-                    octet._fastpath_pending += 1
-                    octet._fused_pending += 1
-                    if logging_enabled:
-                        if tx.log is None:
-                            tx.log = _StubLog()
-                        address = (oid, event.fieldname)
-                        address = addr_intern.setdefault(address, address)
-                        site = event.site
-                        entry = descs.get((site, address, event.kind))
-                        if entry is None:
-                            site_str = site_intern.get(site)
-                            if site_str is None:
-                                site_str = site_intern[site] = str(site)
-                            entry = register(site, address, event.kind, site_str)
-                        d, widx = entry
-                        buf = bufs[widx]
-                        buf.append(d)
-                        buf.append(event.seq)
-                        buf.append(tid_by_name[thread])
-                        if len(buf) >= WORKER_CHUNK_INTS:
-                            flush(widx)
-                    return
-            slow_path(event)
+        def log_tail(tx, seq, thread, oid, fieldname, kind, site,
+                     address, site_str) -> None:
+            if tx.log is None:
+                tx.log = _StubLog()
+            entry = descs.get((site, address, kind))
+            if entry is None:
+                entry = register(site, address, kind, site_str)
+            d, widx = entry
+            buf = bufs[widx]
+            buf.append(d)
+            buf.append(seq)
+            buf.append(tid_by_name[thread])
+            if len(buf) >= WORKER_CHUNK_INTS:
+                flush(widx)
 
-        return fused_access
-
-    def access_barrier_batch(self) -> Optional[Callable[..., None]]:
-        if (
-            not self.octet.fastpath
-            or self.track_unary_sites
-            or self.array_granularity_object
-        ):
-            return None
-
-        octet = self.octet
-        states = octet._states
-        thread_rdsh = octet._thread_rdsh
-        tx_manager = self.tx_manager
-        tx_for_fields = tx_manager.transaction_for_fields
-        tx_current = tx_manager._current
-        tx_stats = tx_manager.stats
-        stats = self.stats
-        instrument_arrays = self.instrument_arrays
-        logging_enabled = self.logging_enabled
-        slow_path = self.on_access
-        channel = self.channel
-        descs = channel.descs
-        register = channel.register_desc
-        tid_by_name = channel.tid_by_name
-        bufs = channel.bufs
-        flush = channel.flush
-
-        def fused_batch(
-            seq: int,
-            thread: str,
-            obj: Any,
-            fieldname: str,
-            kind: AccessKind,
-            site: Site,
-            address: Tuple[int, str],
-            site_str: str,
-            is_array: bool,
-            *,
-            _READ: AccessKind = AccessKind.READ,
-            _WR_EX: StateKind = StateKind.WR_EX,
-            _RD_EX: StateKind = StateKind.RD_EX,
-            _RD_SH: StateKind = StateKind.RD_SH,
-        ) -> None:
-            if is_array and not instrument_arrays:
-                stats.array_accesses_skipped += 1
-                return
-            oid = obj.oid
-            state = states.get(oid)
-            if state is not None:
-                skind = state.kind
-                if (
-                    state.owner == thread
-                    and (
-                        skind is _WR_EX
-                        or (skind is _RD_EX and kind is _READ)
-                    )
-                ) or (
-                    skind is _RD_SH
-                    and kind is _READ
-                    and thread_rdsh.get(thread, 0) >= state.counter
-                ):
-                    tx = tx_current.get(thread)
-                    if tx is not None and not tx.is_unary:
-                        if not tx.monitored:
-                            tx_stats.skipped_accesses += 1
-                            return
-                        tx_stats.regular_accesses += 1
-                    else:
-                        tx = tx_for_fields(thread, site)
-                        if tx is None:
-                            return  # not instrumented in this configuration
-                    stats.instrumented_accesses += 1
-                    octet._barriers_pending += 1
-                    octet._fastpath_pending += 1
-                    octet._fused_pending += 1
-                    if logging_enabled:
-                        if tx.log is None:
-                            tx.log = _StubLog()
-                        entry = descs.get((site, address, kind))
-                        if entry is None:
-                            entry = register(site, address, kind, site_str)
-                        d, widx = entry
-                        buf = bufs[widx]
-                        buf.append(d)
-                        buf.append(seq)
-                        buf.append(tid_by_name[thread])
-                        if len(buf) >= WORKER_CHUNK_INTS:
-                            flush(widx)
-                    return
-            slow_path(
-                AccessEvent(
-                    seq, thread, obj, fieldname, kind, False, is_array, site
-                )
-            )
-
-        return fused_batch
+        return log_tail
 
     def _log_access(self, tx: Transaction, event: AccessEvent) -> None:
         # reference slow path: same lazy stub creation and interning as
@@ -592,25 +427,19 @@ class ShardedICD(ICD):
         return edge
 
     def _maybe_collect(self) -> None:
-        # serial copy with two additions: the aligned peak sample and
-        # the sweep broadcast (the logging-off seen-edges pruning branch
-        # never applies — sharding only serves logging single runs)
-        self._tx_ends_since_gc += 1
-        if self.gc_interval is None or self._tx_ends_since_gc < self.gc_interval:
-            self._check_budget()
-            return
-        self._tx_ends_since_gc = 0
-        self.collector.note_peak(self._live_log_entries)
-        self.peak_samples.append(self._live_log_entries)
-        roots: List[Transaction] = list(self._last_rdex.values())
-        if self._g_last_rdsh is not None:
-            roots.append(self._g_last_rdsh)
-        self.collector.collect(roots)
-        if self.scheduler is not None:
-            self.scheduler.forget(self.collector.last_swept_ids)
-        self._live_log_entries -= self.collector.last_swept_log_entries
-        self.channel.sweep(self.collector.last_swept_ids)
-        self._check_budget()
+        # the serial collection plus two additions: the aligned peak
+        # sample (taken at the serial note_peak point) and the sweep
+        # broadcast (the budget check in between is a no-op — sharding
+        # refuses ICD memory budgets)
+        due = (
+            self.gc_interval is not None
+            and self._tx_ends_since_gc + 1 >= self.gc_interval
+        )
+        if due:
+            self.peak_samples.append(self._live_log_entries)
+        super()._maybe_collect()
+        if due:
+            self.channel.sweep(self.collector.last_swept_ids)
 
 
 # ----------------------------------------------------------------------
@@ -680,7 +509,6 @@ def _analyze(cfg: dict, q_in, worker_queues, obs: Any = None) -> dict:
         transitions = CaptureTransitionLog()
         icd.octet.add_listener(transitions)
 
-    barrier = icd.access_barrier()
     fused = icd.access_barrier_batch()
 
     threads: List[str] = []
@@ -762,7 +590,7 @@ def _analyze(cfg: dict, q_in, worker_queues, obs: Any = None) -> dict:
                         fused(seq, threads[t], *row)
                     else:
                         obj, fieldname, kind, site, _addr, _s, is_array = row
-                        barrier(
+                        icd.on_access(
                             AccessEvent(seq, threads[t], obj, fieldname,
                                         kind, False, is_array, site)
                         )
@@ -773,7 +601,7 @@ def _analyze(cfg: dict, q_in, worker_queues, obs: Any = None) -> dict:
                     i += 4
                     obj, fieldname, kind, site, is_sync, is_array = \
                         edesc_rows[ed]
-                    barrier(
+                    icd.on_access(
                         AccessEvent(seq, threads[t], obj, fieldname, kind,
                                     is_sync, is_array, site)
                     )

@@ -12,8 +12,8 @@ The hot path is the batch barrier: the batch executor hands over
 pre-interned column values, the recorder resolves the ``(site,
 address)`` pair to an access descriptor (two dict probes; the pair
 determines object, field, kind and site — kind is static per site)
-and appends three ints.  The event path (sync pseudo-accesses,
-generator frames, first accesses) interns a descriptor per ``(site,
+and appends three ints.  The event path (:meth:`on_access`: sync
+pseudo-accesses, generator frames) interns a descriptor per ``(site,
 oid, field, kind)`` and appends four.
 """
 
@@ -145,33 +145,22 @@ class ShardStreamRecorder(ExecutionListener):
     # ------------------------------------------------------------------
     # barriers
     # ------------------------------------------------------------------
-    def access_barrier(self) -> Callable[[AccessEvent], None]:
+    def on_access(self, event: AccessEvent) -> None:
+        key = (event.site, event.obj.oid, event.fieldname, event.kind.value)
+        edesc = self._event_descs.get(key)
+        if edesc is None:
+            edesc = self._register_edesc(key, event)
+        t = self._tids.get(event.thread_name)
+        if t is None:
+            t = self._tid(event.thread_name)
         buf = self._buf
-        append = buf.append
-        tids = self._tids
-        get_tid = self._tid
-        event_descs = self._event_descs
-        register = self._register_edesc
-        flush = self._flush
-
-        def record_event(event: AccessEvent) -> None:
-            key = (event.site, event.obj.oid, event.fieldname,
-                   event.kind.value)
-            edesc = event_descs.get(key)
-            if edesc is None:
-                edesc = register(key, event)
-            t = tids.get(event.thread_name)
-            if t is None:
-                t = get_tid(event.thread_name)
-            append(T_EVENT)
-            append(edesc)
-            append(event.seq)
-            append(t)
-            self.records += 1
-            if len(buf) >= CHUNK_INTS:
-                flush()
-
-        return record_event
+        buf.append(T_EVENT)
+        buf.append(edesc)
+        buf.append(event.seq)
+        buf.append(t)
+        self.records += 1
+        if len(buf) >= CHUNK_INTS:
+            self._flush()
 
     def access_barrier_batch(self) -> Optional[Callable[..., None]]:
         buf = self._buf

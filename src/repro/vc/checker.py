@@ -66,8 +66,10 @@ class VcStats:
     """Access-level work counters (feed the cost model)."""
 
     instrumented_accesses: int = 0
-    #: accesses resolved by the fused barrier's no-op predicate (the
-    #: field's metadata already names this transaction)
+    #: accesses resolved by the columnar barrier's no-op predicate
+    #: (the field's metadata already names this transaction); accesses
+    #: dispatched as events (sync, generator frames, the reference
+    #: interpreter) take on_access and never count here
     fastpath_hits: int = 0
     sync_accesses_skipped: int = 0
     array_accesses_skipped: int = 0
@@ -146,7 +148,7 @@ class VcChecker(ExecutionListener):
     ) -> None:
         self.spec = spec
         self.sync_edges = sync_edges
-        #: take the fused no-op shortcut in the barriers (``None`` =
+        #: take the fused no-op shortcut in the columnar barrier (``None`` =
         #: consult ``DOUBLECHECKER_BARRIER_FASTPATH``, the same escape
         #: hatch the Octet/ICD fast path honours)
         self.fastpath = (
@@ -225,70 +227,19 @@ class VcChecker(ExecutionListener):
         self._analyze(tx, address, event.is_read())
 
     # ------------------------------------------------------------------
-    # fused barriers (same pattern as ICD: the executor's monomorphic
-    # single-listener dispatch gets a closure whose fast path — the
-    # field's metadata already names the accessing transaction, so the
-    # access can neither add an edge nor change metadata — costs one
-    # dict probe and a branch chain; everything else falls into the
-    # shared _analyze, so outputs are identical by construction)
+    # fused barrier (same pattern as ICD: the batch executor's
+    # single-listener dispatch gets a columnar closure whose fast path
+    # — the field's metadata already names the accessing transaction,
+    # so the access can neither add an edge nor change metadata —
+    # costs one dict probe and a branch chain; everything else falls
+    # into the shared _analyze, so outputs are identical by
+    # construction)
     # ------------------------------------------------------------------
-    def access_barrier(self) -> Callable[[AccessEvent], None]:
-        if not self.fastpath or self.array_granularity_object:
-            return self.on_access
-
-        tx_manager = self.tx_manager
-        tx_for_fields = tx_manager.transaction_for_fields
-        tx_current = tx_manager._current
-        tx_stats = tx_manager.stats
-        stats = self.stats
-        fields_get = self.metadata._fields.get
-        instrument_arrays = self.instrument_arrays
-        sync_edges = self.sync_edges
-        analyze = self._analyze
-
-        def fused_access(
-            event: AccessEvent,
-            *,
-            _READ: AccessKind = AccessKind.READ,
-        ) -> None:
-            if event.is_array and not instrument_arrays:
-                stats.array_accesses_skipped += 1
-                return
-            if event.is_sync and not sync_edges:
-                stats.sync_accesses_skipped += 1
-                return
-            thread = event.thread_name
-            tx = tx_current.get(thread)
-            if tx is not None and not tx.is_unary:
-                if not tx.monitored:
-                    tx_stats.skipped_accesses += 1
-                    return
-                tx_stats.regular_accesses += 1
-            else:
-                tx = tx_for_fields(thread, event.site)
-                if tx is None:
-                    return  # not instrumented in this configuration
-            stats.instrumented_accesses += 1
-            is_read = event.kind is _READ
-            address = (event.obj.oid, event.fieldname)
-            meta = fields_get(address)
-            if meta is not None:
-                if is_read:
-                    if meta.last_readers.get(thread) is tx:
-                        stats.fastpath_hits += 1
-                        return
-                elif meta.last_writer is tx and not meta.last_readers:
-                    stats.fastpath_hits += 1
-                    return
-            analyze(tx, address, is_read)
-
-        return fused_access
-
     def access_barrier_batch(self) -> Optional[Callable[..., None]]:
-        """Columnar barrier: same no-op predicate, consuming the batch
-        loop's pre-interned column values directly (the batch executor
-        routes synchronization through the event path, so ``is_sync``
-        is always false here)."""
+        """Columnar barrier consuming the batch loop's pre-interned
+        column values directly (the batch executor routes
+        synchronization through :meth:`on_access`, so ``is_sync`` is
+        always false here)."""
         if not self.fastpath or self.array_granularity_object:
             return None
 

@@ -3,45 +3,41 @@
 ``DOUBLECHECKER_BARRIER_FASTPATH=0`` routes every access through the
 reference pipeline — ``classify`` for every barrier, the two-stage
 ICD+Octet dispatch — while the default fuses same-state detection,
-counter batching, and logging into one closure.  Everything observable
-must be identical between the two arms:
+counter batching, and logging into ICD's columnar barrier.  The random
+programs are scripted (the strategy and dump helpers live in
+test_batch_executor_determinism) and both arms run the batch executor,
+so the fast-path arm actually reaches that barrier.  Everything
+observable must be identical between the two arms:
 
 * the stream of transition records delivered to Octet listeners
   (same-state transitions never notify, in either arm);
 * the IDG (edge endpoints, kinds, and creation order);
 * every transaction's read/write log, entry for entry;
-* the barrier/fast-path counters and the reported violations;
+* the barrier/fast-path counters and the reported violations (except
+  ``fast_path_fused``, which is 0 on the reference arm by definition);
 * end-to-end: Table 2, Table 3, and Figure 7 outputs, byte for byte
   (Figure 7 modulo its measured wall-clock columns, which are not
   deterministic between any two runs).
 
 The inline fast-path predicate is duplicated in ``OctetRuntime.observe``
-and ICD's fused barrier for speed; a property test pins both (via
-``is_same_state``) against ``classify``.
+and ``ICD.access_barrier_batch`` for speed; a property test pins both
+(via ``is_same_state``) against ``classify``.
 """
 
-import os
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.icd import ICD
-from repro.core.pcd import PCD
-from repro.core.reports import ViolationSummary
-from repro.core.rwlog import AccessEntry
 from repro.harness import runner, table2, table3
-from repro.octet.runtime import FASTPATH_ENV, OctetListener
+from repro.octet.runtime import FASTPATH_ENV
 from repro.octet.states import rd_ex, rd_sh, wr_ex
 from repro.octet.transitions import TransitionKind, classify, is_same_state
 from repro.runtime.events import AccessKind
-from repro.runtime.executor import Executor
-from repro.runtime.scheduler import RandomScheduler
-from repro.spec.specification import AtomicitySpecification
+from repro.runtime.lowering import BATCH_ENV
 
-from tests.integration.test_soundness_properties import (
-    materialize,
+from tests.integration.test_batch_executor_determinism import (
     program_strategy,
+    run_scripted,
 )
 
 
@@ -73,119 +69,22 @@ def test_is_same_state_matches_classify(state, access, thread, rdsh_counter):
 # ----------------------------------------------------------------------
 # random schedules: every observable identical across the two arms
 # ----------------------------------------------------------------------
-class TransitionLog(OctetListener):
-    """Records every listener-visible transition, fully serialized."""
-
-    def __init__(self):
-        self.records = []
-
-    def _add(self, hook, record):
-        event = record.event
-        self.records.append(
-            (
-                hook,
-                record.kind.value,
-                event.seq,
-                event.obj.oid,
-                event.fieldname,
-                event.thread_name,
-                repr(record.old_state),
-                repr(record.new_state),
-                record.prior_owner,
-                record.rdsh_counter,
-            )
-        )
-
-    def on_conflicting(self, record):
-        self._add("conflicting", record)
-
-    def on_upgrading_rd_sh(self, record):
-        self._add("upgrading_rd_sh", record)
-
-    def on_upgrading_wr_ex(self, record):
-        self._add("upgrading_wr_ex", record)
-
-    def on_fence(self, record):
-        self._add("fence", record)
-
-    def on_initial(self, record):
-        self._add("initial", record)
-
-
-def _dump_logs(icd):
-    out = {}
-    for tx in icd.tx_manager.all_transactions:
-        if tx.log is None:
-            continue
-        entries = []
-        for entry in tx.log.entries:
-            if isinstance(entry, AccessEntry):
-                entries.append(
-                    ("a", entry.kind.value, entry.oid, entry.fieldname,
-                     entry.seq, entry.site)
-                )
-            else:
-                entries.append(
-                    ("m", entry.edge_order, entry.is_source, entry.seq)
-                )
-        out[tx.tx_id] = entries
-    return out
-
-
-def _dump_edges(icd):
-    return sorted(
-        (edge.src.tx_id, edge.dst.tx_id, edge.kind, edge.order,
-         edge.src_log_index, edge.dst_log_index)
-        for tx in icd.tx_manager.all_transactions
-        for edge in tx.out_edges
-    )
+#: a pinned case whose re-reads of owned objects reach the columnar
+#: barrier's fast path (``fast_path_fused > 0``)
+PINNED_CASE = ([[(0, 0, 0), (0, 0, 0), (1, 0, 1), (0, 0, 1)]], [[0, 0], [0]], 3)
 
 
 def _run_arm(fastpath, method_specs, thread_scripts, seed):
-    saved = os.environ.get(FASTPATH_ENV)
-    os.environ[FASTPATH_ENV] = "1" if fastpath else "0"
-    try:
-        program = materialize(method_specs, thread_scripts)
-        spec = AtomicitySpecification.initial(program)
-        pcd = PCD()
-        violations = ViolationSummary()
-        icd = ICD(
-            spec,
-            on_scc=lambda comp: violations.extend(pcd.process(comp)),
-            gc_interval=None,
-        )
-        transitions = TransitionLog()
-        icd.octet.add_listener(transitions)
-        # single listener => the executor dispatches the fused barrier
-        Executor(
-            program, RandomScheduler(seed=seed, switch_prob=0.7), [icd]
-        ).run()
-        octet_stats = icd.octet.stats
-        return {
-            "transitions": transitions.records,
-            "edges": _dump_edges(icd),
-            "logs": _dump_logs(icd),
-            "barriers": octet_stats.barriers,
-            "fast_path": octet_stats.fast_path,
-            "fused": octet_stats.fast_path_fused,
-            "idg_edges": icd.stats.idg_edges,
-            "log_entries": icd.stats.log_entries,
-            "log_marks": icd.stats.log_marks,
-            "elision": (icd._elision.stats.logged, icd._elision.stats.elided),
-            "violations": [
-                (r.blamed_method, r.blamed_tx_id, r.thread_name,
-                 r.cycle_methods, r.cycle_tx_ids, r.detector)
-                for r in violations.records
-            ],
-        }
-    finally:
-        if saved is None:
-            os.environ.pop(FASTPATH_ENV, None)
-        else:
-            os.environ[FASTPATH_ENV] = saved
+    # both arms run the batch executor, so the fast-path arm feeds
+    # ICD's columnar barrier and the reference arm dispatches events
+    return run_scripted(
+        {BATCH_ENV: "1", FASTPATH_ENV: "1" if fastpath else "0"},
+        method_specs, thread_scripts, seed,
+    )
 
 
 @given(program_strategy)
+@example(PINNED_CASE)
 @settings(max_examples=50, deadline=None)
 def test_fastpath_arms_identical_on_random_schedules(case):
     method_specs, thread_scripts, seed = case
@@ -194,6 +93,8 @@ def test_fastpath_arms_identical_on_random_schedules(case):
 
     assert reference["fused"] == 0
     assert fused["fused"] <= fused["fast_path"]
+    if case == PINNED_CASE:
+        assert fused["fused"] > 0
     for key in fused:
         if key == "fused":
             continue

@@ -13,16 +13,19 @@ values.  Everything observable must be identical between the two arms:
 * the IDG (edge endpoints, kinds, and creation order);
 * every transaction's read/write log, entry for entry (including the
   interned site strings the lowered columns carry);
-* the barrier counters, elision counters, and reported violations;
+* the barrier counters, elision counters, and reported violations —
+  except ``fast_path_fused``, which counts hits resolved by the
+  columnar barrier: the reference interpreter dispatches events, so
+  its hits resolve in ``OctetRuntime.observe`` and it reports 0;
 * end-to-end: Table 2, Table 3, and Figure 7 outputs, byte for byte
   (Figure 7 modulo its measured wall-clock columns, which are not
   deterministic between any two runs).
 
 The random programs here are *scripted* — built from the script IR via
 ``script_body`` — so the batch arm actually exercises lowering and the
-batch loop (asserted via the executor's frame counters), unlike the
-generator programs of test_barrier_fastpath_determinism, which the
-batch arm merely delegates.
+batch loop (asserted via the executor's frame counters).  The program
+strategy, the dump helpers and :func:`run_scripted` are shared with
+test_barrier_fastpath_determinism.
 """
 
 import os
@@ -34,18 +37,14 @@ from hypothesis import strategies as st
 from repro.core.icd import ICD
 from repro.core.pcd import PCD
 from repro.core.reports import ViolationSummary
+from repro.core.rwlog import AccessEntry
 from repro.harness import runner, table2, table3
+from repro.octet.runtime import OctetListener
 from repro.runtime.executor import Executor
 from repro.runtime.lowering import BATCH_ENV, script_body
 from repro.runtime.program import Program
 from repro.runtime.scheduler import RandomScheduler
 from repro.spec.specification import AtomicitySpecification
-
-from tests.integration.test_barrier_fastpath_determinism import (
-    TransitionLog,
-    _dump_edges,
-    _dump_logs,
-)
 
 # ----------------------------------------------------------------------
 # random *scripted* programs
@@ -120,9 +119,79 @@ def materialize_scripted(method_specs, thread_scripts):
     return program
 
 
-def _run_arm(batch, method_specs, thread_scripts, seed):
-    saved = os.environ.get(BATCH_ENV)
-    os.environ[BATCH_ENV] = "1" if batch else "0"
+class TransitionLog(OctetListener):
+    """Records every listener-visible transition, fully serialized."""
+
+    def __init__(self):
+        self.records = []
+
+    def _add(self, hook, record):
+        event = record.event
+        self.records.append(
+            (
+                hook,
+                record.kind.value,
+                event.seq,
+                event.obj.oid,
+                event.fieldname,
+                event.thread_name,
+                repr(record.old_state),
+                repr(record.new_state),
+                record.prior_owner,
+                record.rdsh_counter,
+            )
+        )
+
+    def on_conflicting(self, record):
+        self._add("conflicting", record)
+
+    def on_upgrading_rd_sh(self, record):
+        self._add("upgrading_rd_sh", record)
+
+    def on_upgrading_wr_ex(self, record):
+        self._add("upgrading_wr_ex", record)
+
+    def on_fence(self, record):
+        self._add("fence", record)
+
+    def on_initial(self, record):
+        self._add("initial", record)
+
+
+def _dump_logs(icd):
+    out = {}
+    for tx in icd.tx_manager.all_transactions:
+        if tx.log is None:
+            continue
+        entries = []
+        for entry in tx.log.entries:
+            if isinstance(entry, AccessEntry):
+                entries.append(
+                    ("a", entry.kind.value, entry.oid, entry.fieldname,
+                     entry.seq, entry.site)
+                )
+            else:
+                entries.append(
+                    ("m", entry.edge_order, entry.is_source, entry.seq)
+                )
+        out[tx.tx_id] = entries
+    return out
+
+
+def _dump_edges(icd):
+    return sorted(
+        (edge.src.tx_id, edge.dst.tx_id, edge.kind, edge.order,
+         edge.src_log_index, edge.dst_log_index)
+        for tx in icd.tx_manager.all_transactions
+        for edge in tx.out_edges
+    )
+
+
+def run_scripted(env, method_specs, thread_scripts, seed):
+    """Run one random scripted program under single-listener ICD with
+    the environment overrides ``env`` and dump every observable."""
+    saved = {name: os.environ.get(name) for name in env}
+    os.environ.update(env)
     try:
         program = materialize_scripted(method_specs, thread_scripts)
         spec = AtomicitySpecification.initial(program)
@@ -167,24 +236,31 @@ def _run_arm(batch, method_specs, thread_scripts, seed):
             "frames_lowered": executor._batch_frames_lowered,
         }
     finally:
-        if saved is None:
-            os.environ.pop(BATCH_ENV, None)
-        else:
-            os.environ[BATCH_ENV] = saved
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 @given(program_strategy)
 @settings(max_examples=50, deadline=None)
 def test_batch_arms_identical_on_random_scripted_programs(case):
     method_specs, thread_scripts, seed = case
-    batched = _run_arm(True, method_specs, thread_scripts, seed)
-    reference = _run_arm(False, method_specs, thread_scripts, seed)
+    batched = run_scripted(
+        {BATCH_ENV: "1"}, method_specs, thread_scripts, seed
+    )
+    reference = run_scripted(
+        {BATCH_ENV: "0"}, method_specs, thread_scripts, seed
+    )
 
     # the batch arm must have lowered every scripted body it ran
     assert batched["frames_lowered"] > 0
     assert reference["frames_lowered"] == 0
+    assert batched["fused"] <= batched["fast_path"]
+    assert reference["fused"] == 0
     for key in batched:
-        if key == "frames_lowered":
+        if key in ("frames_lowered", "fused"):
             continue
         assert batched[key] == reference[key], key
 

@@ -11,10 +11,12 @@ from repro.core.doublechecker import DoubleChecker
 from repro.harness import runner
 from repro.obs.registry import (
     MetricsRegistry,
+    MODE_COUNTERS,
     MODE_FULL,
     recorder,
     use_registry,
 )
+from repro.runtime.lowering import BATCH_ENV
 from repro.velodrome.checker import VelodromeChecker
 from repro.workloads import build
 
@@ -149,3 +151,26 @@ def test_disabled_mode_records_nothing():
     result = runner.run_single(WORKLOAD, spec, seed=0)
     assert result.execution.steps > 0
     assert recorder().snapshot()["counters"] == {}
+
+
+def test_full_mode_times_the_columnar_barrier(monkeypatch):
+    """Full-mode dispatch timing wraps the barrier the batch loop really
+    uses: a scripted single run reports the same Octet counters —
+    including the columnar-barrier hits — with telemetry off, in
+    counters mode, and in full mode, and every access is timed."""
+    monkeypatch.setenv(BATCH_ENV, "1")
+    spec = runner.initial_spec(WORKLOAD)
+    octet_stats = {}
+    counters = {}
+    for mode in (None, MODE_COUNTERS, MODE_FULL):
+        use_registry(None if mode is None else MetricsRegistry(mode))
+        result = runner.run_single(WORKLOAD, spec, seed=0)
+        octet_stats[mode] = dataclasses.asdict(result.octet_stats)
+        counters[mode] = recorder().snapshot()["counters"]
+
+    assert octet_stats[None]["fast_path_fused"] > 0
+    assert octet_stats[MODE_COUNTERS] == octet_stats[None]
+    assert octet_stats[MODE_FULL] == octet_stats[None]
+    full = counters[MODE_FULL]
+    assert full["executor.batch.frames_lowered"] > 0
+    assert full["executor.listener_dispatch.calls"] == full["executor.accesses"]

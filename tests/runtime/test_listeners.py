@@ -93,41 +93,28 @@ def test_on_access_fast_path_rebinds_as_listeners_are_added():
     assert [entry[0] for entry in log] == ["a", "b"]
 
 
-class Fused(ExecutionListener):
-    """A listener supplying a custom fused access barrier."""
-
-    def __init__(self, log):
-        self.log = log
-
-    def on_access(self, event):
-        self.log.append(("unfused", event.fieldname))
-
-    def access_barrier(self):
-        def fused(event):
-            self.log.append(("fused", event.fieldname))
-
-        return fused
-
-
-def test_single_listener_binds_the_fused_barrier():
-    """With one listener the pipeline dispatches its access_barrier()
-    closure — ICD's fused ICD+Octet call — not plain on_access."""
+def test_single_listener_dispatches_on_access_directly():
+    """With one listener the pipeline's barrier *is* that listener's
+    bound on_access — no loop, no wrapper."""
     log = []
-    pipeline = ListenerPipeline([Fused(log)])
+    probe = Probe("only", log)
+    pipeline = ListenerPipeline([probe])
+    assert pipeline.on_access == probe.on_access
+    assert "on_access" in vars(pipeline)
     pipeline.on_access(make_event())
-    assert log == [("fused", "f")]
+    assert log == [("only", "access", "f")]
 
 
-def test_fan_out_uses_each_listeners_barrier():
+def test_fan_out_keeps_listener_order():
+    """Two or more listeners use the class-level fan-out, which visits
+    them in registration order — including listeners added later."""
     log = []
-    pipeline = ListenerPipeline([Fused(log), Probe("p", log)])
+    pipeline = ListenerPipeline([Probe("a", log)])
+    pipeline.add(Probe("b", log))
+    pipeline.add(Probe("c", log))
+    assert "on_access" not in vars(pipeline)
     pipeline.on_access(make_event())
-    assert log == [("fused", "f"), ("p", "access", "f")]
-
-
-def test_default_access_barrier_is_on_access():
-    listener = ExecutionListener()
-    assert listener.access_barrier() == listener.on_access
+    assert [entry[0] for entry in log] == ["a", "b", "c"]
 
 
 def test_single_listener_fast_path_preserves_event_identity():

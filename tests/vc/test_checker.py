@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import OutOfMemoryBudget
+from repro.runtime.lowering import BATCH_ENV, script_body
 from repro.runtime.ops import Compute, Invoke, Read, Write
 from repro.runtime.program import Program
 from repro.runtime.scheduler import RandomScheduler, ScriptedScheduler
@@ -165,23 +166,22 @@ class TestGcAndBudget:
 
 def _rereading_program():
     """Transactions that re-touch fields they already own: the shape
-    the fused barrier's no-op predicate exists for."""
+    the fused barrier's no-op predicate exists for.  Scripted, so the
+    batch executor lowers it and feeds vc's columnar barrier."""
     program = Program("reread")
     x = program.add_global_object("x")
 
     def churn(ctx):
-        total = 0
-        for _ in range(4):
-            total = (yield Read(x, "f")) or 0
-        yield Write(x, "f", total + 1)
-        yield Write(x, "f", total + 2)
+        return [("read", x, "f", "total")] * 4 + [
+            ("write", x, "f", ("inc", "total", 1)),
+            ("write", x, "f", ("inc", "total", 2)),
+        ]
 
     def body(ctx):
-        for _ in range(10):
-            yield Invoke("churn")
+        return [("invoke", "churn", ())] * 10
 
-    program.method(churn, name="churn")
-    program.method(body, name="body")
+    program.method(script_body(churn), name="churn")
+    program.method(script_body(body), name="body")
     for name in ("A", "B", "C"):
         program.add_thread(name, "body")
     program.mark_entry("body")
@@ -190,9 +190,11 @@ def _rereading_program():
 
 class TestFusedBarrier:
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_fused_matches_reference(self, seed):
+    def test_fused_matches_reference(self, seed, monkeypatch):
         """The fused closure's no-op fast path must not change any
         analysis-visible output."""
+        # the columnar barrier only runs under the batch executor
+        monkeypatch.setenv(BATCH_ENV, "1")
         program_f = _rereading_program()
         fused = VcChecker(spec_for(program_f), fastpath=True)
         fused_result = fused.run(program_f, scheduler(seed=seed))
